@@ -11,14 +11,10 @@
 package alicoco
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -28,7 +24,6 @@ import (
 	"alicoco/internal/apps/recommend"
 	"alicoco/internal/apps/search"
 	"alicoco/internal/core"
-	"alicoco/internal/faultfs"
 	"alicoco/internal/inference"
 	"alicoco/internal/par"
 	"alicoco/internal/pipeline"
@@ -38,8 +33,8 @@ import (
 )
 
 // DefaultQueryCacheCapacity is the per-cache entry budget (one cache for
-// search, one for recommendation) a Build- or LoadFrozen-constructed CoCo
-// starts with; SetQueryCacheCapacity adjusts it at runtime.
+// search, one for recommendation) a built or snapshot-loaded CoCo starts
+// with; SetQueryCacheCapacity adjusts it at runtime.
 const DefaultQueryCacheCapacity = 4096
 
 // Options sizes the net construction. Use Small or Default and tweak.
@@ -70,9 +65,9 @@ func Default() Options {
 // engines.
 //
 // All query methods read one servingState loaded atomically, so they are
-// safe to call concurrently with InferImplicitRelations, Refreeze, and
-// ReloadFrozen (each publishes a fresh snapshot by swapping the pointer,
-// never by mutating one in place).
+// safe to call concurrently with InferImplicitRelations, Refreeze,
+// ReloadShards, ReloadShard, and RollbackTo (each publishes a fresh
+// snapshot by swapping the pointer, never by mutating one in place).
 type CoCo struct {
 	arts       atomic.Pointer[pipeline.Artifacts]
 	offline    sync.Mutex // serializes offline mutation + republish cycles
@@ -81,7 +76,8 @@ type CoCo struct {
 
 	// shardCount is the partition size live refreezes maintain: a CoCo
 	// built with BuildSharded re-partitions into the same number of shards
-	// on every refreeze (inference, Refreeze). 0 or 1 means unsharded.
+	// on every refreeze (inference, Refreeze); Build keeps one shard. Zero
+	// for a snapshot-loaded CoCo, which has no live net to re-partition.
 	// Written only at construction, before the CoCo escapes.
 	shardCount int
 
@@ -104,8 +100,8 @@ func newCoCo() *CoCo {
 }
 
 // servingReader is the store surface a serving state queries: the full
-// Reader plus snapshot statistics. Both the single frozen net and the
-// sharded set satisfy it.
+// Reader plus snapshot statistics. Both a sole frozen shard and the
+// scatter-gather set satisfy it.
 type servingReader interface {
 	core.Reader
 	ComputeStats() core.Stats
@@ -119,28 +115,19 @@ type servingReader interface {
 // its shard pointers, stays reachable until the last pinned request
 // finishes.
 type servingState struct {
+	// reader is what the engines query: the sole shard of an N=1
+	// partition (the whole net, on the unsharded fast path), else the
+	// scatter-gather set itself.
 	reader servingReader
-
-	// Exactly one of the two stores below backs reader. frozen is the
-	// whole net (or the sole shard of an N=1 partition, which keeps N=1 on
-	// the unsharded fast path); shards is the scatter-gather set for N>1.
-	frozen *core.FrozenNet
 	shards *core.ShardSet
 
-	// Sharded-snapshot bookkeeping: where the shards were loaded from and
-	// the manifest they were verified against (nil for in-process freezes),
-	// plus per-shard serving metadata. shardInfo is set whenever the state
-	// was published from a partition, even an in-memory one. When the
-	// snapshot came out of a generation catalog, shardRoot is the store
-	// root (shardDir is then the generation's directory under it) and
-	// catalogGen the committed generation being served — what RollbackTo
-	// and the scrubber anchor on; both are zero for flat directories and
-	// in-process freezes.
-	shardDir   string
-	shardRoot  string
-	catalogGen uint64
-	manifest   *pipeline.ShardManifest
-	shardInfo  []ShardServingInfo
+	// Snapshot bookkeeping: the catalog generation the shards were loaded
+	// from and the manifest they were verified against — what reloads diff
+	// against and RollbackTo and the scrubber anchor on (both zero for
+	// in-process freezes) — plus per-shard serving metadata.
+	loc       shardLoc
+	manifest  *pipeline.ShardManifest
+	shardInfo []ShardServingInfo
 
 	search     *search.Engine
 	rec        *recommend.Engine
@@ -167,18 +154,18 @@ type ShardServingInfo struct {
 
 // ServingInfo identifies the snapshot queries are currently served from:
 // where it came from, how many times serving has been republished, the
-// checksum of the snapshot file (when loaded from disk), and when it went
-// live — the operational metadata a fleet needs to tell which net version
-// each replica is answering with.
+// content checksum of the catalog generation (when loaded from disk), and
+// when it went live — the operational metadata a fleet needs to tell which
+// net version each replica is answering with.
 type ServingInfo struct {
-	Source      string    // "build", "snapshot", "shards", "refreeze", or "rollback"
+	Source      string    // "build", "shards", "refreeze", or "rollback"
 	Generation  uint64    // increments with every published serving state
 	Checksum    string    // CRC-32 (hex) of the loaded snapshot content; "" for in-process freezes
 	PublishedAt time.Time // when this serving state was swapped in
 	Nodes       int
 	Edges       int
-	Shards      int    // partition size; 0 when serving an unpartitioned net
-	CatalogGen  uint64 // snapshot-store generation being served; 0 when not catalog-backed
+	Shards      int    // partition size; 1 for an unpartitioned net
+	CatalogGen  uint64 // snapshot-store generation being served; 0 for in-process freezes
 }
 
 // ServingInfo describes the currently published serving snapshot.
@@ -198,72 +185,16 @@ func Build(opts Options) (*CoCo, error) {
 		return nil, err
 	}
 	// Serving always runs on the frozen snapshot: lock-free, zero-alloc
-	// reads, postings pre-sorted at freeze time.
+	// reads, postings pre-sorted at freeze time. The whole frozen net is
+	// the sole shard of a one-shard partition.
 	c := newCoCo()
+	c.shardCount = 1
+	arts.Shards = []*core.FrozenNet{arts.Frozen}
 	c.arts.Store(arts)
-	c.publish(arts, "build")
-	return c, nil
-}
-
-// loadArtifacts reads a frozen snapshot file into a serving-only
-// Artifacts bundle. The open goes through faultfs so chaos tests can
-// inject slow, short, and corrupt reads against the real loader; with no
-// fault armed it is a plain os.Open.
-func loadArtifacts(path string) (*pipeline.Artifacts, error) {
-	f, err := faultfs.Open(path)
-	if err != nil {
+	if err := c.publishShards(arts, "build", shardLoc{}, nil); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return pipeline.LoadSnapshot(bufio.NewReaderSize(f, 1<<20))
-}
-
-// LoadFrozen builds a CoCo from a snapshot file written by SaveFrozen,
-// skipping world generation, model training, and the Freeze pass: cold
-// start is proportional to disk bandwidth. The loaded CoCo serves every
-// query path; offline paths that need the live net or the world
-// (InferImplicitRelations, SampleSessions, Glosses) report that they are
-// unavailable.
-func LoadFrozen(path string) (*CoCo, error) {
-	arts, err := loadArtifacts(path)
-	if err != nil {
-		return nil, err
-	}
-	c := newCoCo()
-	c.arts.Store(arts)
-	c.publish(arts, "snapshot")
 	return c, nil
-}
-
-// SaveFrozen writes the serving state — the frozen net plus the serving
-// metadata — to a snapshot file LoadFrozen can restore. The write has full
-// crash-safety discipline (temp sibling, fsync file, checked close,
-// rename, fsync parent directory), so neither a crash mid-save nor a power
-// loss right after the rename can leave a corrupt or empty snapshot at the
-// published path. It holds the offline lock so a concurrent refreeze
-// cannot swap the frozen net mid-serialization.
-func (c *CoCo) SaveFrozen(path string) error {
-	c.offline.Lock()
-	defer c.offline.Unlock()
-	return snapstore.WriteFileAtomic(filepath.Dir(path), filepath.Base(path), func(w io.Writer) error {
-		return c.arts.Load().SaveSnapshot(w)
-	})
-}
-
-// ReloadFrozen reads a snapshot file and hot-swaps it into serving: queries
-// running concurrently keep answering from the old snapshot until the
-// atomic pointer swap, then see the new one. This is how a running server
-// ingests new edges without a restart.
-func (c *CoCo) ReloadFrozen(path string) error {
-	arts, err := loadArtifacts(path)
-	if err != nil {
-		return err
-	}
-	c.offline.Lock()
-	defer c.offline.Unlock()
-	c.arts.Store(arts)
-	c.publish(arts, "snapshot")
-	return nil
 }
 
 // Refreeze republishes the live net's current state to the serving engines,
@@ -282,7 +213,8 @@ func (c *CoCo) Refreeze() error {
 // point lookups route to the owning shard, traversals and search
 // scatter-gather across the set, and each shard can be re-frozen and
 // reloaded independently. Every subsequent refreeze (inference, Refreeze)
-// maintains the same partition. shards <= 1 behaves exactly like Build.
+// maintains the same partition. shards <= 1 behaves exactly like Build,
+// which serves a one-shard partition.
 func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	c, err := Build(opts)
 	if err != nil || shards <= 1 {
@@ -296,11 +228,11 @@ func BuildSharded(opts Options, shards int) (*CoCo, error) {
 }
 
 // NumShards reports the partition size of the published serving state;
-// 0 means serving is unpartitioned.
+// 1 means serving is unpartitioned.
 func (c *CoCo) NumShards() int { return c.serving.Load().info.Shards }
 
-// ShardInfos describes each shard of the published serving partition —
-// nil when serving is unpartitioned. The slice is a copy.
+// ShardInfos describes each shard of the published serving partition. The
+// slice is a copy.
 func (c *CoCo) ShardInfos() []ShardServingInfo {
 	return append([]ShardServingInfo(nil), c.serving.Load().shardInfo...)
 }
@@ -328,17 +260,21 @@ func (c *CoCo) SaveShardsRetain(dir string, count, retain int) (*pipeline.ShardM
 	return c.arts.Load().SaveShardsRetain(dir, count, retain)
 }
 
-// LoadShardedFrozen builds a CoCo from a sharded snapshot written by
-// SaveShards: a snapshot-store root (the newest committed generation
-// loads), a generation directory, or a pre-catalog flat directory. Shards
-// load and verify in parallel; the CoCo serves every query path,
-// scatter-gathering across the partition.
-func LoadShardedFrozen(dir string) (*CoCo, error) {
-	loc, err := resolveShardDir(dir)
+// LoadShardedFrozen builds a CoCo from the newest committed generation of
+// the snapshot catalog at root (written by SaveShards), skipping world
+// generation, model training, and the Freeze pass: cold start is
+// proportional to disk bandwidth. root must be the catalog root; a bare
+// generation directory or a flat directory is an error naming the cause.
+// Shards load and verify in parallel. The loaded CoCo serves every query
+// path; offline paths that need the live net or the world
+// (InferImplicitRelations, Refreeze, SampleSessions, Glosses) report that
+// they are unavailable.
+func LoadShardedFrozen(root string) (*CoCo, error) {
+	loc, err := resolveShardDir(root)
 	if err != nil {
 		return nil, err
 	}
-	arts, man, err := pipeline.LoadShards(loc.dir)
+	arts, man, err := pipeline.LoadGeneration(loc.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -350,39 +286,32 @@ func LoadShardedFrozen(dir string) (*CoCo, error) {
 	return c, nil
 }
 
-// shardLoc names where a sharded snapshot lives: the directory holding
-// its files, plus — when it came out of a generation catalog — the store
-// root and committed generation ID.
+// shardLoc names where a sharded snapshot lives: the catalog root, the
+// committed generation ID, and that generation's directory.
 type shardLoc struct {
-	dir  string
 	root string
 	gen  uint64
+	dir  string
 }
 
-// resolveShardDir maps a snapshot directory argument through the
-// generation catalog: a store root resolves to its newest committed
-// generation, anything else to itself.
-func resolveShardDir(dir string) (shardLoc, error) {
-	resolved, gen, isStore, err := snapstore.ResolveDir(dir)
+// resolveShardDir maps a catalog root to its newest committed generation.
+func resolveShardDir(root string) (shardLoc, error) {
+	dir, gen, err := snapstore.ResolveDir(root)
 	if err != nil {
 		return shardLoc{}, err
 	}
-	loc := shardLoc{dir: resolved}
-	if isStore {
-		loc.root, loc.gen = dir, gen
-	}
-	return loc, nil
+	return shardLoc{root: root, gen: gen, dir: dir}, nil
 }
 
-// ReloadShards re-reads a sharded snapshot (store root, generation dir, or
-// flat dir — see LoadShardedFrozen) and hot-swaps the changed parts into
-// serving. It diffs the on-disk manifest against the partition currently
-// served: shards whose checksums match keep their in-memory form (and, via
+// ReloadShards re-reads the newest committed generation of the snapshot
+// catalog at root (see LoadShardedFrozen) and hot-swaps the changed parts
+// into serving. It diffs the on-disk manifest against the partition
+// currently served: shards whose checksums match keep their in-memory form (and, via
 // the content stamp, their cache entries); only changed shards are read
 // from disk — so a new catalog generation that touched one shard reloads
 // one shard, even though it lives in a fresh gen-%06d directory. It
 // returns how many shards were (re)loaded — 0 means the snapshot holds
-// exactly what is already being served; when it is also the same directory
+// exactly what is already being served; when it is also the same generation
 // nothing is republished at all, and when it is a newer generation with
 // identical content only the location bookkeeping is republished (the
 // content stamp, and with it every warm cache entry, carries over). A
@@ -390,10 +319,10 @@ func resolveShardDir(dir string) (shardLoc, error) {
 // metadata) falls back to a full load. Queries running concurrently keep
 // answering from the old partition until the single atomic swap, so no
 // request ever sees a mix of generations.
-func (c *CoCo) ReloadShards(dir string) (int, error) {
+func (c *CoCo) ReloadShards(root string) (int, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
-	loc, err := resolveShardDir(dir)
+	loc, err := resolveShardDir(root)
 	if err != nil {
 		return 0, err
 	}
@@ -402,8 +331,8 @@ func (c *CoCo) ReloadShards(dir string) (int, error) {
 		return 0, err
 	}
 	prev := c.serving.Load()
-	if prev == nil || prev.manifest == nil || prev.shards == nil || !sameShape(prev.manifest, man) {
-		arts, man, err := pipeline.LoadShards(loc.dir)
+	if prev.manifest == nil || !sameShape(prev.manifest, man) {
+		arts, man, err := pipeline.LoadGeneration(loc.dir)
 		if err != nil {
 			return 0, err
 		}
@@ -424,7 +353,7 @@ func (c *CoCo) ReloadShards(dir string) (int, error) {
 		shards[i] = sh
 		changed++
 	}
-	if changed == 0 && prev.shardDir == loc.dir {
+	if changed == 0 && prev.loc == loc {
 		return 0, nil
 	}
 	arts := *c.arts.Load()
@@ -433,20 +362,21 @@ func (c *CoCo) ReloadShards(dir string) (int, error) {
 	return changed, c.publishShards(&arts, "shards", loc, man)
 }
 
-// ReloadShard force-reloads one shard from a sharded snapshot directory,
-// regardless of whether its checksum changed; the rest of the partition
-// keeps serving its in-memory shards. The manifest is re-read first so
-// the shard is verified against the directory's current commit point; if
-// the partition shape on disk no longer matches serving, the reload is
-// refused (use ReloadShards, which handles shape changes).
-func (c *CoCo) ReloadShard(dir string, i int) error {
+// ReloadShard force-reloads one shard from the newest committed generation
+// of the snapshot catalog at root, regardless of whether its checksum
+// changed; the rest of the partition keeps serving its in-memory shards.
+// The manifest is re-read first so the shard is verified against that
+// generation's commit; if the partition shape on disk no longer matches
+// serving, the reload is refused (use ReloadShards, which handles shape
+// changes).
+func (c *CoCo) ReloadShard(root string, i int) error {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	prev := c.serving.Load()
-	if prev == nil || prev.manifest == nil {
-		return errors.New("alicoco: reload shard: serving is not backed by a sharded snapshot")
+	if prev.manifest == nil {
+		return errors.New("alicoco: reload shard: serving is not backed by a snapshot catalog")
 	}
-	loc, err := resolveShardDir(dir)
+	loc, err := resolveShardDir(root)
 	if err != nil {
 		return err
 	}
@@ -467,7 +397,7 @@ func (c *CoCo) ReloadShard(dir string, i int) error {
 	shards := append([]*core.FrozenNet(nil), prev.shards.Shards()...)
 	shards[i] = sh
 	// Publish under an *effective* manifest: the served manifest with only
-	// entry i replaced. The directory's manifest may already describe newer
+	// entry i replaced. The generation's manifest may already describe newer
 	// content for shards this reload did not touch (an operator rolling the
 	// partition one shard at a time); recording it verbatim would stamp the
 	// query caches with content that is not being served yet and make a
@@ -492,10 +422,10 @@ func (c *CoCo) RollbackTo(gen uint64) (snapstore.Gen, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	prev := c.serving.Load()
-	if prev == nil || prev.shardRoot == "" {
+	if prev.loc.root == "" {
 		return snapstore.Gen{}, errors.New("alicoco: rollback: serving is not backed by a snapshot store")
 	}
-	store, err := snapstore.Open(prev.shardRoot, snapstore.Options{})
+	store, err := snapstore.Open(prev.loc.root, snapstore.Options{})
 	if err != nil {
 		return snapstore.Gen{}, err
 	}
@@ -510,17 +440,17 @@ func (c *CoCo) RollbackTo(gen uint64) (snapstore.Gen, error) {
 			return snapstore.Gen{}, err
 		}
 		for i := len(gens) - 1; i >= 0; i-- {
-			if gens[i].ID < prev.catalogGen {
+			if gens[i].ID < prev.loc.gen {
 				g = gens[i]
 				break
 			}
 		}
 		if g.ID == 0 {
-			return snapstore.Gen{}, fmt.Errorf("alicoco: rollback: no committed generation older than %d", prev.catalogGen)
+			return snapstore.Gen{}, fmt.Errorf("alicoco: rollback: no committed generation older than %d", prev.loc.gen)
 		}
 	}
-	loc := shardLoc{dir: store.GenDir(g), root: prev.shardRoot, gen: g.ID}
-	arts, man, err := pipeline.LoadShards(loc.dir)
+	loc := shardLoc{root: prev.loc.root, gen: g.ID, dir: store.GenDir(g)}
+	arts, man, err := pipeline.LoadGeneration(loc.dir)
 	if err != nil {
 		return snapstore.Gen{}, err
 	}
@@ -530,38 +460,29 @@ func (c *CoCo) RollbackTo(gen uint64) (snapstore.Gen, error) {
 
 // ScrubOnce runs one integrity pass over the generation directory serving
 // was loaded from: every file is re-hashed against the on-disk manifest
-// (itself verified against the catalog when the snapshot is
-// catalog-backed), mismatches are quarantined, and each quarantined file
-// is repaired from the newest clean source — another catalog generation
-// with matching content first, the served in-memory shard second. Repair
-// touches only the disk copy; serving reads the in-memory shards
-// throughout, so traffic keeps answering byte-identically and warm cache
-// entries survive. Holding the offline lock serializes the pass with
-// saves and reloads.
+// (itself verified against the catalog entry), mismatches are
+// quarantined, and each quarantined file is repaired from the newest
+// clean source — another catalog generation with matching content first,
+// the served in-memory shard second. Repair touches only the disk copy;
+// serving reads the in-memory shards throughout, so traffic keeps
+// answering byte-identically and warm cache entries survive. Holding the
+// offline lock serializes the pass with saves and reloads.
 func (c *CoCo) ScrubOnce() (*snapstore.ScrubReport, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	s := c.serving.Load()
-	if s == nil || s.shardDir == "" {
-		return nil, errors.New("alicoco: scrub: serving is not backed by an on-disk sharded snapshot")
+	if s.loc.root == "" {
+		return nil, errors.New("alicoco: scrub: serving is not backed by a snapshot catalog")
 	}
-	opts := pipeline.ScrubOptions{Gen: s.catalogGen}
-	if s.shardRoot != "" {
-		store, err := snapstore.Open(s.shardRoot, snapstore.Options{})
-		if err != nil {
-			return nil, err
-		}
-		opts.Store = store
-		if g, err := store.Find(s.catalogGen); err == nil {
-			opts.ManifestChecksum = g.ManifestChecksum
-		}
+	store, err := snapstore.Open(s.loc.root, snapstore.Options{})
+	if err != nil {
+		return nil, err
 	}
-	if s.shards != nil {
-		opts.InMem = s.shards.Shards()
-	} else if s.frozen != nil {
-		opts.InMem = []*core.FrozenNet{s.frozen}
+	opts := pipeline.ScrubOptions{Store: store, InMem: s.shards.Shards(), Gen: s.loc.gen}
+	if g, err := store.Find(s.loc.gen); err == nil {
+		opts.ManifestChecksum = g.ManifestChecksum
 	}
-	return pipeline.ScrubShardDir(s.shardDir, opts)
+	return pipeline.ScrubShardDir(s.loc.dir, opts)
 }
 
 func buildItemIndex(meta *pipeline.ServingMeta) ([]Item, map[core.NodeID]Item, map[int]core.NodeID) {
@@ -575,42 +496,6 @@ func buildItemIndex(meta *pipeline.ServingMeta) ([]Item, map[core.NodeID]Item, m
 		fwd[im.WorldID] = im.Node
 	}
 	return items, rev, fwd
-}
-
-// publish swaps in a serving state built on the artifacts' frozen snapshot.
-// The fresh engines are stamped with the new generation, so everything the
-// query caches hold for earlier snapshots becomes unreachable in the same
-// atomic pointer store that publishes the snapshot itself.
-func (c *CoCo) publish(arts *pipeline.Artifacts, source string) {
-	frozen := arts.Frozen
-	items, rev, fwd := buildItemIndex(arts.Serving)
-	checksum := ""
-	if source == "snapshot" { // only snapshot files have a recorded CRC
-		checksum = fmt.Sprintf("%08x", frozen.Checksum())
-	}
-	stamp := qcache.Stamp{Gen: c.generation.Add(1), Sum: frozen.Checksum()}
-	se := search.NewEngine(frozen, arts.Serving.Stopwords)
-	se.UseCache(c.searchCache, stamp)
-	re := recommend.NewEngine(frozen)
-	re.UseCache(c.recCache, stamp)
-	c.serving.Store(&servingState{
-		reader:     frozen,
-		frozen:     frozen,
-		search:     se,
-		rec:        re,
-		items:      items,
-		itemByNode: rev,
-		itemNode:   fwd,
-		stamp:      stamp,
-		info: ServingInfo{
-			Source:      source,
-			Generation:  stamp.Gen,
-			Checksum:    checksum,
-			PublishedAt: time.Now(),
-			Nodes:       frozen.NumNodes(),
-			Edges:       frozen.NumEdges(),
-		},
-	})
 }
 
 // shardContentStamp derives the cache stamp of a disk-loaded shard
@@ -646,22 +531,23 @@ func sameShape(a, b *pipeline.ShardManifest) bool {
 }
 
 // publishShards swaps in a serving state backed by a shard partition
-// (arts.Shards). For a single-shard partition the engines run directly on
-// the sole shard — a whole frozen net — so N=1 stays on the unpartitioned
-// fast path; for N>1 they run on the scatter-gather ShardSet. loc and man
-// identify the sharded snapshot the partition was verified against (the
-// directory, and for catalog-backed snapshots the store root and committed
-// generation); both are zero for in-process freezes.
+// (arts.Shards) — the one publish path, for builds, refreezes, loads,
+// reloads and rollbacks alike. For a single-shard partition the engines
+// run directly on the sole shard — a whole frozen net — so N=1 stays on
+// the unpartitioned fast path; for N>1 they run on the scatter-gather
+// ShardSet. The fresh engines are stamped with the new cache stamp, so
+// everything the query caches hold for earlier snapshots becomes
+// unreachable in the same atomic pointer store that publishes the
+// snapshot itself. loc and man identify the catalog generation the
+// partition was verified against; both are zero for in-process freezes.
 func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardLoc, man *pipeline.ShardManifest) error {
 	set, err := core.NewShardSet(arts.Shards)
 	if err != nil {
 		return err
 	}
 	var reader servingReader = set
-	var frozen *core.FrozenNet
 	if set.NumShards() == 1 {
-		frozen = set.Shard(0)
-		reader = frozen
+		reader = set.Shard(0)
 	}
 	items, rev, fwd := buildItemIndex(arts.Serving)
 	gen := c.generation.Add(1)
@@ -688,7 +574,7 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 		}
 		// A shard whose in-memory pointer survived the republish did not
 		// change content; keep its original publication metadata.
-		if prev != nil && prev.shards != nil && i < prev.shards.NumShards() && prev.shards.Shard(i) == sh {
+		if prev != nil && i < prev.shards.NumShards() && prev.shards.Shard(i) == sh {
 			si.Generation = prev.shardInfo[i].Generation
 			si.PublishedAt = prev.shardInfo[i].PublishedAt
 		}
@@ -700,11 +586,8 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 	re.UseCache(c.recCache, stamp)
 	c.serving.Store(&servingState{
 		reader:     reader,
-		frozen:     frozen,
 		shards:     set,
-		shardDir:   loc.dir,
-		shardRoot:  loc.root,
-		catalogGen: loc.gen,
+		loc:        loc,
 		manifest:   man,
 		shardInfo:  shardInfo,
 		search:     se,
@@ -754,27 +637,10 @@ func (c *CoCo) refreeze() error {
 	arts := c.arts.Load()
 	if c.shardCount > 1 {
 		arts.Shards = arts.Net.FreezeShards(c.shardCount)
-		return c.publishShards(arts, "refreeze", shardLoc{}, nil)
+	} else {
+		arts.Shards = []*core.FrozenNet{arts.Refreeze()}
 	}
-	arts.Refreeze()
-	c.publish(arts, "refreeze")
-	return nil
-}
-
-// SaveSnapshot writes the mutable net to a file in the legacy gob format
-// (see SaveFrozen for the serving snapshot that restores without a
-// rebuild). It errors on a snapshot-loaded CoCo.
-func (c *CoCo) SaveSnapshot(path string) error {
-	arts := c.arts.Load()
-	if arts.Net == nil {
-		return errors.New("alicoco: save snapshot: snapshot-loaded net has no live store")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return arts.Net.Save(f)
+	return c.publishShards(arts, "refreeze", shardLoc{}, nil)
 }
 
 // Stats summarizes the net (the Table 2 shape).
@@ -1118,14 +984,7 @@ func (c *CoCo) Concepts() []Concept {
 	var out []Concept
 	net := c.serving.Load().reader
 	for _, id := range net.NodesOfKind(core.KindEConcept) {
-		nd, _ := net.Node(id)
-		cpt := Concept{Name: nd.Name}
-		for _, he := range net.PrimitivesForEConcept(id) {
-			p, _ := net.Node(he.Peer)
-			cpt.Primitives = append(cpt.Primitives, p.Domain+":"+p.Name)
-		}
-		cpt.ItemCount = len(net.ItemsForEConcept(id, 0))
-		out = append(out, cpt)
+		out = append(out, conceptOf(net, id))
 	}
 	return out
 }
@@ -1137,6 +996,11 @@ func (c *CoCo) LookupConcept(name string) (Concept, bool) {
 	if id == core.InvalidNode {
 		return Concept{}, false
 	}
+	return conceptOf(net, id), true
+}
+
+// conceptOf assembles the Concept view of e-commerce concept id.
+func conceptOf(net core.Reader, id core.NodeID) Concept {
 	nd, _ := net.Node(id)
 	cpt := Concept{Name: nd.Name}
 	for _, he := range net.PrimitivesForEConcept(id) {
@@ -1144,7 +1008,7 @@ func (c *CoCo) LookupConcept(name string) (Concept, bool) {
 		cpt.Primitives = append(cpt.Primitives, p.Domain+":"+p.Name)
 	}
 	cpt.ItemCount = len(net.ItemsForEConcept(id, 0))
-	return cpt, true
+	return cpt
 }
 
 // SampleSessions exposes simulated shopping sessions (viewed item IDs and

@@ -86,29 +86,29 @@ func TestQueryCacheInvalidatedByRepublish(t *testing.T) {
 }
 
 // TestQueryCacheNoStaleAcrossReload hammers Search and Recommend from
-// several goroutines while the main goroutine hot-swaps two different
-// snapshots through ReloadFrozen. Every concurrent answer must match one
+// several goroutines while the main goroutine hot-swaps between two
+// snapshot catalogs of different nets through ReloadShards. Every concurrent answer must match one
 // of the two snapshots exactly (never a blend), and — the stale-generation
 // assertion — a query issued after a reload returns must match the
 // just-loaded snapshot, not the cached answers of the previous one.
 func TestQueryCacheNoStaleAcrossReload(t *testing.T) {
 	optsA, optsB := cacheTestOptions()
 	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.fz")
-	pathB := filepath.Join(dir, "b.fz")
+	pathA := filepath.Join(dir, "a")
+	pathB := filepath.Join(dir, "b")
 
 	cA, err := Build(optsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cA.SaveFrozen(pathA); err != nil {
+	if _, err := cA.SaveShards(pathA, 1); err != nil {
 		t.Fatal(err)
 	}
 	cB, err := Build(optsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cB.SaveFrozen(pathB); err != nil {
+	if _, err := cB.SaveShards(pathB, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +129,7 @@ func TestQueryCacheNoStaleAcrossReload(t *testing.T) {
 		t.Fatal("the two snapshots answer identically; staleness would be undetectable")
 	}
 
-	c, err := LoadFrozen(pathA)
+	c, err := LoadShardedFrozen(pathA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestQueryCacheNoStaleAcrossReload(t *testing.T) {
 	paths := []string{pathB, pathA}
 	canons := []canon{canonB, canonA}
 	for i := 0; i < 20; i++ {
-		if err := c.ReloadFrozen(paths[i%2]); err != nil {
+		if _, err := c.ReloadShards(paths[i%2]); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 		// The reload has returned, so the new generation is published:

@@ -116,30 +116,40 @@ func TestFacadeConceptsList(t *testing.T) {
 	}
 }
 
+// TestSaveSnapshot: the facade's one save path commits a generation into
+// a snapshot catalog — a one-shard partition here — with non-empty files.
 func TestSaveSnapshot(t *testing.T) {
 	c := buildSmall(t)
-	path := filepath.Join(t.TempDir(), "net.coco")
-	if err := c.SaveSnapshot(path); err != nil {
+	root := t.TempDir()
+	man, err := c.SaveShards(root, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(path)
+	if man.NumShards() != 1 {
+		t.Fatalf("manifest has %d shards, want 1", man.NumShards())
+	}
+	fi, err := os.Stat(filepath.Join(root, "gen-000001", man.Shards[0].File))
 	if err != nil || fi.Size() == 0 {
-		t.Fatal("snapshot not written")
+		t.Fatalf("shard file not written: %v", err)
 	}
 }
 
-// TestFrozenSnapshotRoundTripFacade: SaveFrozen -> LoadFrozen restores a
-// CoCo that answers every query path like the original, ingests a reload,
-// and reports clean errors on the offline-only paths.
+// TestFrozenSnapshotRoundTripFacade: a built CoCo saved as a one-shard
+// catalog loads back into a CoCo that answers every query path like the
+// original, ingests a new generation, and reports clean errors on the
+// offline-only paths.
 func TestFrozenSnapshotRoundTripFacade(t *testing.T) {
 	c := buildSmall(t)
-	path := filepath.Join(t.TempDir(), "net.fz")
-	if err := c.SaveFrozen(path); err != nil {
+	root := t.TempDir()
+	if _, err := c.SaveShards(root, 1); err != nil {
 		t.Fatal(err)
 	}
-	l, err := LoadFrozen(path)
+	l, err := LoadShardedFrozen(root)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if l.NumShards() != 1 || c.NumShards() != 1 {
+		t.Fatalf("NumShards: built %d, loaded %d, want 1", c.NumShards(), l.NumShards())
 	}
 	cs, ls := c.Stats(), l.Stats()
 	if cs.Relations != ls.Relations || cs.Items != ls.Items || cs.EConcepts != ls.EConcepts {
@@ -180,32 +190,47 @@ func TestFrozenSnapshotRoundTripFacade(t *testing.T) {
 	if err := l.Refreeze(); err == nil {
 		t.Fatal("refreeze on snapshot-loaded CoCo should error")
 	}
-	if err := l.SaveSnapshot(filepath.Join(t.TempDir(), "x.coco")); err == nil {
-		t.Fatal("legacy snapshot of snapshot-loaded CoCo should error")
+	if _, err := l.SaveShards(t.TempDir(), 1); err == nil {
+		t.Fatal("save of snapshot-loaded CoCo should error")
 	}
-	// But the frozen snapshot itself can be re-saved and reloaded.
-	path2 := filepath.Join(t.TempDir(), "net2.fz")
-	if err := l.SaveFrozen(path2); err != nil {
+	// A newer generation of the same content is picked up by a reload.
+	if _, err := c.SaveShards(root, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ReloadFrozen(path2); err != nil {
+	if _, err := l.ReloadShards(root); err != nil {
 		t.Fatal(err)
+	}
+	if g := l.ServingInfo().CatalogGen; g != 2 {
+		t.Fatalf("serving gen %d after reload, want 2", g)
 	}
 	if res := l.Search("outdoor barbecue", 8); len(res.Cards) == 0 {
 		t.Fatal("no card after reload")
 	}
 }
 
+// TestLoadFrozenRejectsMissingAndCorrupt: only a catalog root loads. A
+// missing path, a flat directory, a bare generation directory and a
+// corrupt catalog are errors that name the cause.
 func TestLoadFrozenRejectsMissingAndCorrupt(t *testing.T) {
-	if _, err := LoadFrozen(filepath.Join(t.TempDir(), "missing.fz")); err == nil {
-		t.Fatal("missing file should error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.fz")
-	if err := os.WriteFile(bad, []byte("definitely not a snapshot"), 0o644); err != nil {
+	c := buildSmall(t)
+	root := t.TempDir()
+	if _, err := c.SaveShards(root, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFrozen(bad); err == nil {
-		t.Fatal("corrupt file should error")
+	for _, tc := range []struct{ name, dir, want string }{
+		{"missing", filepath.Join(root, "missing"), "no such file"},
+		{"flat", t.TempDir(), "not a snapshot catalog root"},
+		{"generation", filepath.Join(root, "gen-000001"), "generation directory"},
+	} {
+		if _, err := LoadShardedFrozen(tc.dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err=%v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(root, "CATALOG"), []byte("definitely not a catalog"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadShardedFrozen(root); err == nil {
+		t.Fatal("corrupt catalog should error")
 	}
 }
 

@@ -104,11 +104,11 @@ func TestBatchPinnedDuringRefreeze(t *testing.T) {
 }
 
 // TestServingInfoLifecycle follows the generation counter and source label
-// through build, refreeze, save, and reload.
+// through build, refreeze, save, load, and reload.
 func TestServingInfoLifecycle(t *testing.T) {
 	c := buildSmall(t)
 	info := c.ServingInfo()
-	if info.Source != "build" || info.Generation != 1 || info.Checksum != "" {
+	if info.Source != "build" || info.Generation != 1 || info.Checksum != "" || info.Shards != 1 {
 		t.Fatalf("after build: %+v", info)
 	}
 	if info.Nodes == 0 || info.Edges == 0 || info.PublishedAt.IsZero() {
@@ -121,26 +121,31 @@ func TestServingInfoLifecycle(t *testing.T) {
 	if info.Source != "refreeze" || info.Generation != 2 {
 		t.Fatalf("after refreeze: %+v", info)
 	}
-	path := t.TempDir() + "/net.fz"
-	if err := c.SaveFrozen(path); err != nil {
+	root := t.TempDir()
+	if _, err := c.SaveShards(root, 1); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFrozen(path)
+	loaded, err := LoadShardedFrozen(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	linfo := loaded.ServingInfo()
-	if linfo.Source != "snapshot" || linfo.Generation != 1 || linfo.Checksum == "" {
+	if linfo.Source != "shards" || linfo.Generation != 1 || linfo.Checksum == "" || linfo.CatalogGen != 1 {
 		t.Fatalf("after load: %+v", linfo)
 	}
 	if linfo.Nodes != info.Nodes || linfo.Edges != info.Edges {
 		t.Fatalf("loaded counts differ: %+v vs %+v", linfo, info)
 	}
-	if err := loaded.ReloadFrozen(path); err != nil {
+	// A newer generation with the same content republishes under the same
+	// content checksum.
+	if _, err := c.SaveShards(root, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.ReloadShards(root); err != nil {
 		t.Fatal(err)
 	}
 	linfo2 := loaded.ServingInfo()
-	if linfo2.Generation != 2 || linfo2.Checksum != linfo.Checksum {
+	if linfo2.Generation != 2 || linfo2.Checksum != linfo.Checksum || linfo2.CatalogGen != 2 {
 		t.Fatalf("after reload: %+v", linfo2)
 	}
 }

@@ -7,8 +7,9 @@
 package alicoco
 
 import (
-	"bytes"
 	"fmt"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -466,7 +467,7 @@ func BenchmarkFrozenVsLockedNodesOfKind(b *testing.B) {
 //
 // The pair contrasts the two ways a server can reach serving state:
 // rebuild everything from scratch (world, corpus, embeddings, net, freeze)
-// versus re-reading the frozen binary snapshot from a byte stream.
+// versus loading the newest generation of a snapshot catalog from disk.
 // scripts/bench.sh records both in BENCH_core.json; the frozen side is
 // expected to win by orders of magnitude since it is bounded by I/O
 // bandwidth, not model training.
@@ -487,27 +488,41 @@ func BenchmarkColdStartLive(b *testing.B) {
 }
 
 // BenchmarkColdStartFrozen measures cold start from a snapshot: one
-// LoadSnapshot pass over the serialized bytes of the same net
+// pipeline.LoadShards pass over a one-shard catalog (catalog, manifest,
+// meta file and shard file, read from a temp dir) holding the same net
 // BenchmarkColdStartLive builds.
 func BenchmarkColdStartFrozen(b *testing.B) {
 	a, err := pipeline.Build(pipeline.TinyOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := a.SaveSnapshot(&buf); err != nil {
+	root := b.TempDir()
+	if _, err := a.SaveShards(root, 1); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
+	var size int64
+	err = filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			fi, ierr := d.Info()
+			if ierr != nil {
+				return ierr
+			}
+			size += fi.Size()
+		}
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arts, err := pipeline.LoadSnapshot(bytes.NewReader(data))
+		arts, _, err := pipeline.LoadShards(root)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if arts.Frozen.NumNodes() != a.Frozen.NumNodes() {
+		if arts.Shards[0].NumNodes() != a.Frozen.NumNodes() {
 			b.Fatal("loaded net differs")
 		}
 	}
@@ -546,10 +561,13 @@ func BenchmarkFrozenSearchEngine(b *testing.B) {
 // into hit measurements (BenchmarkServeCacheHit/Miss in cmd/cocoserve
 // cover the cached path).
 func benchCoCo(b *testing.B) *CoCo {
-	a := benchArtifacts(b)
-	c := &CoCo{}
-	c.arts.Store(a)
-	c.publish(a, "build")
+	a := *benchArtifacts(b)
+	a.Shards = []*core.FrozenNet{a.Frozen}
+	c := &CoCo{shardCount: 1}
+	c.arts.Store(&a)
+	if err := c.publishShards(&a, "build", shardLoc{}, nil); err != nil {
+		b.Fatal(err)
+	}
 	return c
 }
 

@@ -1,28 +1,28 @@
 // Command alicoco builds the e-commerce cognitive concept net end-to-end
-// from the synthetic testbed, prints Table-2-style statistics, and
-// optionally saves a binary snapshot.
+// from the synthetic testbed, prints Table-2-style statistics, and manages
+// frozen serving snapshots.
 //
 // Usage:
 //
-//	alicoco [-scale small|default] [-out net.coco] [-query "outdoor barbecue"]
-//	alicoco snapshot save [-scale small|default] -out net.fz
-//	alicoco snapshot save [-scale small|default] -shards 4 [-retain 4] -out netdir
-//	alicoco snapshot load -in net.fz [-query "outdoor barbecue"]
-//	alicoco snapshot verify netdir
+//	alicoco [-scale small|default] [-query "outdoor barbecue"]
+//	alicoco snapshot save [-scale small|default] [-shards N] [-retain 4] -out storedir
+//	alicoco snapshot load -in storedir [-query "outdoor barbecue"]
+//	alicoco snapshot verify storedir
 //	alicoco metrics lint <file|->
 //
-// `snapshot save` builds the net and writes the frozen serving snapshot —
-// a single file, or with -shards N a generation committed into the
-// snapshot store at -out: N independently reloadable shard files plus a
-// checksummed manifest in a gen-NNNNNN directory, named by the store's
-// CATALOG (serve it with `cocoserve -snapshot-dir`). Repeated saves into
-// the same store append generations; -retain bounds how many the catalog
-// keeps. `snapshot load` restores a single-file snapshot without
-// rebuilding (cold start proportional to disk bandwidth) and can answer
-// queries against it. `snapshot verify` re-hashes every file of a sharded
-// snapshot — all generations of a catalog store — against its manifest and
-// catalog entry, reporting per file and exiting non-zero on any mismatch,
-// without modifying the store.
+// `snapshot save` builds the net and commits its frozen serving snapshot
+// as a new generation of the snapshot catalog at -out: N (default 1)
+// independently reloadable shard files plus a checksummed manifest in a
+// gen-NNNNNN directory, named by the store's CATALOG (serve it with
+// `cocoserve -snapshot-dir`). Repeated saves into the same store append
+// generations; -retain bounds how many the catalog keeps. `snapshot load`
+// restores the newest generation of a catalog without rebuilding (cold
+// start proportional to disk bandwidth) and can answer queries against
+// it. `snapshot verify` re-hashes every file of every committed
+// generation against its manifest and catalog entry, reporting per file
+// and exiting non-zero on any mismatch, without modifying the store. Every
+// directory argument must be a catalog root; a bare generation directory
+// or a flat snapshot directory is rejected.
 //
 // `metrics lint` strict-parses a Prometheus text exposition (a /metrics
 // capture, or stdin with `-`) with the same validator the load driver's
@@ -68,7 +68,6 @@ func main() {
 	}
 
 	scale := flag.String("scale", "default", "build scale: small or default")
-	out := flag.String("out", "", "path to save a binary snapshot of the net")
 	query := flag.String("query", "", "optionally run one search query against the built net")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -84,14 +83,6 @@ func main() {
 		log.Fatalf("build: %v", err)
 	}
 	fmt.Println(coco.Stats().Render())
-
-	if *out != "" {
-		if err := coco.SaveSnapshot(*out); err != nil {
-			log.Fatalf("snapshot: %v", err)
-		}
-		log.Printf("snapshot written to %s", *out)
-	}
-
 	runQuery(coco, *query)
 }
 
@@ -109,13 +100,14 @@ func scaleOptions(scale string) alicoco.Options {
 	return alicoco.Default()
 }
 
-// snapshotSave builds the net and writes the frozen serving snapshot.
+// snapshotSave builds the net and commits its frozen serving snapshot as a
+// new catalog generation.
 func snapshotSave(args []string) {
 	fs := flag.NewFlagSet("snapshot save", flag.ExitOnError)
 	scale := fs.String("scale", "default", "build scale: small or default")
-	out := fs.String("out", "net.fz", "path to write the frozen snapshot (a directory with -shards)")
-	shards := fs.Int("shards", 0, "write a sharded snapshot directory with this many shards instead of a single file")
-	retain := fs.Int("retain", 0, "committed generations the snapshot store keeps (with -shards; 0 means the default window)")
+	out := fs.String("out", "snapshots", "snapshot catalog root to commit the new generation into")
+	shards := fs.Int("shards", 1, "shards to partition the frozen net into")
+	retain := fs.Int("retain", 0, "committed generations the snapshot store keeps (0 means the default window)")
 	fs.Parse(args)
 	rejectExtraArgs(fs)
 
@@ -126,41 +118,30 @@ func snapshotSave(args []string) {
 		log.Fatalf("build: %v", err)
 	}
 	log.Printf("built in %v", time.Since(start).Round(time.Millisecond))
-	if *shards > 0 {
-		man, gen, err := coco.SaveShardsRetain(*out, *shards, *retain)
-		if err != nil {
-			log.Fatalf("save shards: %v", err)
-		}
-		log.Printf("sharded snapshot committed to %s/ as generation %d (%d shards, serve with cocoserve -snapshot-dir)",
-			*out, gen.ID, man.NumShards())
-		fmt.Println(coco.Stats().Render())
-		return
-	}
-	if err := coco.SaveFrozen(*out); err != nil {
-		log.Fatalf("save frozen: %v", err)
-	}
-	info, err := os.Stat(*out)
+	man, gen, err := coco.SaveShardsRetain(*out, *shards, *retain)
 	if err != nil {
-		log.Fatalf("stat: %v", err)
+		log.Fatalf("save shards: %v", err)
 	}
-	log.Printf("frozen snapshot written to %s (%d bytes)", *out, info.Size())
+	log.Printf("snapshot committed to %s/ as generation %d (%d shards, serve with cocoserve -snapshot-dir)",
+		*out, gen.ID, man.NumShards())
 	fmt.Println(coco.Stats().Render())
 }
 
-// snapshotLoad restores a frozen snapshot and optionally queries it.
+// snapshotLoad restores the newest generation of a snapshot catalog and
+// optionally queries it.
 func snapshotLoad(args []string) {
 	fs := flag.NewFlagSet("snapshot load", flag.ExitOnError)
-	in := fs.String("in", "net.fz", "path of the frozen snapshot to load")
+	in := fs.String("in", "snapshots", "snapshot catalog root to load the newest generation of")
 	query := fs.String("query", "", "optionally run one search query against the loaded net")
 	fs.Parse(args)
 	rejectExtraArgs(fs)
 
 	start := time.Now()
-	coco, err := alicoco.LoadFrozen(*in)
+	coco, err := alicoco.LoadShardedFrozen(*in)
 	if err != nil {
-		log.Fatalf("load frozen: %v", err)
+		log.Fatalf("load snapshot: %v", err)
 	}
-	log.Printf("loaded %s in %v", *in, time.Since(start).Round(time.Millisecond))
+	log.Printf("loaded generation %d of %s in %v", coco.ServingInfo().CatalogGen, *in, time.Since(start).Round(time.Millisecond))
 	fmt.Println(coco.Stats().Render())
 	runQuery(coco, *query)
 }

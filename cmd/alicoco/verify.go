@@ -1,10 +1,9 @@
-// `alicoco snapshot verify <dir>`: offline integrity audit of a sharded
-// snapshot. Every file the manifest names — each shard body and the meta
-// file — is re-hashed against its recorded checksum, and when the
-// directory is a generation catalog the audit covers every committed
-// generation, anchoring each one's manifest to its catalog entry first
-// (catalog -> manifest -> file is the same chain of trust the serving
-// scrubber walks). Strictly read-only: unlike opening the store, verify
+// `alicoco snapshot verify <root>`: offline integrity audit of a snapshot
+// catalog. The audit covers every committed generation: each one's
+// manifest is anchored to its catalog entry first, then every file the
+// manifest names — each shard body and the meta file — is re-hashed
+// against its recorded checksum (catalog -> manifest -> file is the same
+// chain of trust the serving scrubber walks). Strictly read-only: unlike opening the store, verify
 // never sweeps or repairs anything. Exit status 0 means everything
 // verified; 1 means at least one file failed, each reported on its own
 // line.
@@ -25,25 +24,23 @@ func snapshotVerify(args []string) {
 	fs := flag.NewFlagSet("snapshot verify", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: alicoco snapshot verify <dir>")
+		fmt.Fprintln(os.Stderr, "usage: alicoco snapshot verify <catalog root>")
 		os.Exit(2)
 	}
-	dir := fs.Arg(0)
+	root := fs.Arg(0)
+	// ResolveDir names the cause when root is not a catalog with at least
+	// one committed generation; like ListGenerations it only reads.
+	if _, _, err := snapstore.ResolveDir(root); err != nil {
+		log.Fatalf("verify: %v", err)
+	}
+	gens, err := snapstore.ListGenerations(root)
+	if err != nil {
+		log.Fatalf("verify: %v", err)
+	}
 	checked, bad := 0, 0
-	if snapstore.IsStore(dir) {
-		gens, err := snapstore.ListGenerations(dir)
-		if err != nil {
-			log.Fatalf("verify: %v", err)
-		}
-		if len(gens) == 0 {
-			log.Fatalf("verify: catalog at %s has no committed generations", dir)
-		}
-		for _, g := range gens {
-			c, b := verifyGeneration(filepath.Join(dir, g.Dir), fmt.Sprintf("gen %d", g.ID), g.ManifestChecksum)
-			checked, bad = checked+c, bad+b
-		}
-	} else {
-		checked, bad = verifyGeneration(dir, dir, 0)
+	for _, g := range gens {
+		c, b := verifyGeneration(filepath.Join(root, g.Dir), fmt.Sprintf("gen %d", g.ID), g.ManifestChecksum)
+		checked, bad = checked+c, bad+b
 	}
 	if bad > 0 {
 		fmt.Printf("FAIL: %d of %d files failed verification\n", bad, checked)
@@ -52,8 +49,9 @@ func snapshotVerify(args []string) {
 	fmt.Printf("OK: %d files verified\n", checked)
 }
 
-// verifyGeneration audits one snapshot directory: the manifest against the
-// catalog checksum when there is one, then every file the manifest names.
+// verifyGeneration audits one generation directory: the manifest against
+// its catalog checksum (when the catalog entry records one), then every
+// file the manifest names.
 // It reports one line per file and never stops at the first failure — the
 // whole damage report is the point.
 func verifyGeneration(dir, label string, manifestSum uint32) (checked, bad int) {

@@ -210,25 +210,26 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a net frozen, saved and loaded back answers like
+// the mutable net it came from — counts, incoming edges, name index and
+// stats.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	n, ids := buildToyNet(t)
 	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
+	if err := n.Freeze().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := Load(&buf)
+	m, err := LoadFrozen(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.NumNodes() != n.NumNodes() || m.NumEdges() != n.NumEdges() {
 		t.Fatal("counts differ after round trip")
 	}
-	// Incoming index must be rebuilt.
 	items := m.ItemsForEConcept(ids["eWedding"], 0)
 	if len(items) != 2 {
 		t.Fatalf("loaded net lost incoming edges: %+v", items)
 	}
-	// Name index must be rebuilt.
 	if m.FirstByNameKind("dress", KindPrimitive) == InvalidNode {
 		t.Fatal("loaded net lost name index")
 	}
@@ -239,8 +240,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not a snapshot")); err == nil {
-		t.Fatal("garbage should not load")
+	for _, in := range []string{"", "not a snapshot"} {
+		if _, err := LoadFrozen(bytes.NewBufferString(in)); err == nil {
+			t.Fatalf("garbage %q should not load", in)
+		}
 	}
 }
 
@@ -278,7 +281,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
-// Property: Save/Load round-trips random nets exactly.
+// Property: Freeze/Save/LoadFrozen preserves random nets exactly.
 func TestPropertySaveLoadRandomNets(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -295,10 +298,10 @@ func TestPropertySaveLoadRandomNets(t *testing.T) {
 			_ = n.AddEdge(a, b, EdgeIsA, "", rng.Float64())
 		}
 		var buf bytes.Buffer
-		if err := n.Save(&buf); err != nil {
+		if err := n.Freeze().Save(&buf); err != nil {
 			return false
 		}
-		m, err := Load(&buf)
+		m, err := LoadFrozen(&buf)
 		if err != nil {
 			return false
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"strings"
 	"testing"
@@ -268,118 +267,47 @@ func TestFrozenSaveRejectsOversizedStrings(t *testing.T) {
 	}
 }
 
-// --- gob (*Net) snapshot corruption: the satellite bugfixes in Load ------
+// --- structural corruption the cases above leave out ------------------
 
-// encodeGobSnapshot produces raw Save-format bytes from an arbitrary
-// snapshot value, so tests can plant invalid fields.
-func encodeGobSnapshot(t *testing.T, s snapshot) []byte {
+// loadMutated freezes the toy net, applies mutate, and loads the saved
+// bytes back.
+func loadMutated(t *testing.T, mutate func(f *FrozenNet)) error {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func twoPrimSnapshot() snapshot {
-	return snapshot{
-		Version: snapshotVersion,
-		Nodes: []Node{
-			{ID: 0, Kind: KindPrimitive, Name: "a", Domain: "Color"},
-			{ID: 1, Kind: KindPrimitive, Name: "b", Domain: "Color"},
-		},
-		Out:   [][]HalfEdge{{{Peer: 1, Kind: EdgeIsA, Weight: 1}}, nil},
-		Edges: 1,
-	}
+	n, _ := buildToyNet(t)
+	f := n.Freeze()
+	mutate(f)
+	_, err := LoadFrozen(bytes.NewReader(saveFrozen(t, f)))
+	return err
 }
 
 func TestLoadRejectsCorruptEdgeKind(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Out[0][0].Kind = EdgeKind(99)
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("edge kind 99 must be rejected")
-	}
-	s = twoPrimSnapshot()
-	s.Out[0][0].Kind = EdgeKind(-2)
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("negative edge kind must be rejected")
-	}
-}
-
-func TestLoadRejectsNodeIDMismatch(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Nodes[1].ID = 5
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("node id disagreeing with its index must be rejected")
-	}
-}
-
-func TestLoadRejectsNodeKindOutOfRange(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Nodes[0].Kind = NodeKind(42)
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("node kind 42 must be rejected")
-	}
-}
-
-func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Out = s.Out[:1]
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("adjacency shorter than node list must be rejected")
-	}
-}
-
-func TestLoadRecomputesEdgeCounter(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Edges = 999 // stale counter
-	n, err := Load(bytes.NewReader(encodeGobSnapshot(t, s)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.NumEdges() != 1 {
-		t.Fatalf("stale counter not recomputed: NumEdges = %d", n.NumEdges())
-	}
-	if n.ComputeStats().Edges != 1 {
-		t.Fatalf("stats still see stale counter: %d", n.ComputeStats().Edges)
-	}
-
-	s = twoPrimSnapshot()
-	s.Edges = -3
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("negative edge count must be rejected")
-	}
-}
-
-// TestLoadTruncatedGob: a truncated Save stream errors instead of panicking.
-func TestLoadTruncatedGob(t *testing.T) {
-	n, _ := buildToyNet(t)
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{0, 1, len(full) / 4, len(full) / 2, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncated gob at %d bytes loaded successfully", cut)
+	for _, k := range []EdgeKind{99, -2} {
+		err := loadMutated(t, func(f *FrozenNet) { f.in.edges[0].Kind = k })
+		if err == nil || !strings.Contains(err.Error(), "kind") {
+			t.Fatalf("incoming edge kind %d: got %v", k, err)
 		}
 	}
 }
 
-// TestLoadThenFreeze: a corrupt snapshot that previously slipped through
-// Load used to panic in buildCSR/Freeze; a valid one must still freeze.
-func TestLoadThenFreeze(t *testing.T) {
-	n, _ := buildToyNet(t)
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
+func TestLoadRejectsNodeIDMismatch(t *testing.T) {
+	err := loadMutated(t, func(f *FrozenNet) {
+		f.byKind[KindItem][0] = NodeID(f.total + 5)
+	})
+	if err == nil || !strings.Contains(err.Error(), "outside shard range") {
+		t.Fatalf("kind index naming a node outside the net: got %v", err)
 	}
-	m, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestLoadRejectsNodeKindOutOfRange(t *testing.T) {
+	err := loadMutated(t, func(f *FrozenNet) { f.nodes[0].Kind = NodeKind(42) })
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("node kind 42: got %v", err)
 	}
-	f := m.Freeze()
-	if f.NumEdges() != n.NumEdges() {
-		t.Fatalf("freeze after load: %d edges, want %d", f.NumEdges(), n.NumEdges())
+}
+
+func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
+	err := loadMutated(t, func(f *FrozenNet) { f.out.off = f.out.off[:len(f.out.off)-1] })
+	if err == nil || !strings.Contains(err.Error(), "offset array length") {
+		t.Fatalf("offsets shorter than the node list: got %v", err)
 	}
 }

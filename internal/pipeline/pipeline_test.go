@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -129,17 +128,19 @@ func TestSchemaEdgesPresent(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip: the live net saved as a one-shard catalog loads
+// back with every node and edge.
 func TestSnapshotRoundTrip(t *testing.T) {
 	a := buildTiny(t)
-	var buf bytes.Buffer
-	if err := a.Net.Save(&buf); err != nil {
+	root := t.TempDir()
+	if _, err := a.SaveShards(root, 1); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.Load(&buf)
+	loaded, _, err := LoadShards(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumNodes() != a.Net.NumNodes() || loaded.NumEdges() != a.Net.NumEdges() {
+	if sole := loaded.Shards[0]; sole.NumNodes() != a.Net.NumNodes() || sole.NumEdges() != a.Net.NumEdges() {
 		t.Fatal("snapshot round trip lost data")
 	}
 }

@@ -19,23 +19,25 @@ import (
 	"alicoco/internal/world"
 )
 
-// Sharded snapshot persistence: one directory holds N independently
-// written, independently reloadable shard files plus the shared serving
-// metadata, tied together by a manifest:
+// Sharded snapshot persistence: each generation directory of a snapshot
+// catalog (internal/snapstore) holds N independently written,
+// independently reloadable shard files plus the shared serving metadata,
+// tied together by a manifest:
 //
-//	manifest.json   shard count, partition spec, per-file checksums (commit point)
+//	manifest.json   shard count, partition spec, per-file checksums
 //	meta.bin        gob snapshotExtras ("ACSM" magic + version + CRC-32 trailer)
 //	shard-0000.fz … frozen-format v2 shard files (see core/persist_frozen.go)
 //
-// Every file is written to a temp name and renamed into place, and the
-// manifest is renamed last — a crashed save never leaves a directory that
-// parses as complete. Reloading one shard means re-reading the manifest,
-// loading only the files whose checksums changed, and reassembling the
-// ShardSet around the untouched in-memory shards.
+// The generation is written into a temp directory and committed by the
+// catalog update, so a crashed save never surfaces a partial generation.
+// Reloading one shard means re-reading the manifest, loading only the
+// files whose checksums changed, and reassembling the ShardSet around the
+// untouched in-memory shards. N may be 1: a one-shard catalog is how an
+// unpartitioned net is persisted.
 
 const (
-	// ShardManifestName is the manifest's file name inside a shard
-	// directory; its rename is the save's commit point.
+	// ShardManifestName is the manifest's file name inside a generation
+	// directory; the catalog entry records its checksum.
 	ShardManifestName = "manifest.json"
 	// shardMetaName holds the gob serving metadata shared by all shards.
 	shardMetaName = "meta.bin"
@@ -98,10 +100,10 @@ func (e *ShardLoadError) Unwrap() error { return e.Err }
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.fz", i) }
 
 // shardMetaWire is the deterministic gob wire form of snapshotExtras used
-// by the sharded meta file. The single-file snapshot encodes the extras'
-// maps directly, but Go map iteration order would make gob emit different
-// bytes for identical content — and the sharded format's MetaChecksum must
-// be a pure content hash: ReloadShards treats a changed MetaChecksum as a
+// by the sharded meta file. Encoding the extras' maps directly would make
+// gob emit different bytes for identical content (Go map iteration order
+// is random) — and the sharded format's MetaChecksum must be a pure
+// content hash: ReloadShards treats a changed MetaChecksum as a
 // shape change and falls back to a full reload, so a nondeterministic
 // encoding would defeat per-shard diffing on every re-save.
 type shardMetaWire struct {
@@ -180,7 +182,7 @@ func writeFileAtomic(dir, name string, emit func(w io.Writer) error) error {
 
 // SaveShards partitions the live net into count shards and commits them as
 // a new generation in the snapshot store at dir (creating the store, and
-// its catalog, if dir is new or was a flat snapshot directory). The shard
+// its catalog, if dir is new). The shard
 // files are frozen and written in parallel into a temp generation
 // directory; the catalog update is the single commit point, so a crashed
 // save leaves only debris the next open sweeps away. Retention defaults to
@@ -425,19 +427,25 @@ func loadShardMeta(dir string, man *ShardManifest) (*snapshotExtras, error) {
 	return &extras, nil
 }
 
-// LoadShards loads a complete sharded snapshot: manifest, serving
-// metadata, and all shard files (in parallel), verified against the
-// manifest's checksums. dir may be a snapshot-store root (the newest
-// committed generation is loaded), a generation directory, or a
-// pre-catalog flat snapshot directory. Like LoadSnapshot it returns a
-// serving-only Artifacts — Shards holds the loaded partition and Frozen is
-// nil. Per-file failures come back as *ShardLoadError (the first failing
-// shard).
-func LoadShards(dir string) (*Artifacts, *ShardManifest, error) {
-	dir, _, _, err := snapstore.ResolveDir(dir)
+// LoadShards loads the newest committed generation of the snapshot
+// catalog at root (see LoadGeneration). A root that is not a catalog — a
+// bare generation directory, a pre-catalog flat directory — is an error
+// naming the cause.
+func LoadShards(root string) (*Artifacts, *ShardManifest, error) {
+	dir, _, err := snapstore.ResolveDir(root)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: load shards: %w", err)
 	}
+	return LoadGeneration(dir)
+}
+
+// LoadGeneration loads one committed generation directory of a catalog:
+// manifest, serving metadata, and all shard files (in parallel), verified
+// against the manifest's checksums. It returns a serving-only Artifacts —
+// Shards holds the loaded partition; Net, World and Frozen are nil.
+// Per-file failures come back as *ShardLoadError (the first failing
+// shard).
+func LoadGeneration(dir string) (*Artifacts, *ShardManifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, nil, err

@@ -22,7 +22,7 @@ func saveShardDir(t *testing.T, a *Artifacts, count int) (string, *ShardManifest
 	if err != nil {
 		t.Fatalf("SaveShards(%d): %v", count, err)
 	}
-	dir, _, _, err := snapstore.ResolveDir(root)
+	dir, _, err := snapstore.ResolveDir(root)
 	if err != nil {
 		t.Fatalf("ResolveDir: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestShardDirRoundTrip(t *testing.T) {
 		if man.NumShards() != count || man.TotalNodes != a.Frozen.NumNodes() || man.TotalEdges != a.Frozen.NumEdges() {
 			t.Fatalf("count %d: manifest geometry %+v does not match net", count, man)
 		}
-		b, man2, err := LoadShards(dir)
+		b, man2, err := LoadGeneration(dir)
 		if err != nil {
 			t.Fatalf("LoadShards: %v", err)
 		}
@@ -105,7 +105,7 @@ func TestLoadShardVerifiesManifest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, shardFileName(1)), orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadShards(dir)
+	_, _, err = LoadGeneration(dir)
 	var sle *ShardLoadError
 	if err == nil || !errors.As(err, &sle) {
 		t.Fatalf("swapped shard file: got %v, want *ShardLoadError", err)
@@ -137,14 +137,14 @@ func TestLoadShardsRejectsCorruption(t *testing.T) {
 	t.Run("shard body", func(t *testing.T) {
 		dir, _ := saveShardDir(t, a, 3)
 		flip(t, dir, shardFileName(1), -5)
-		if _, _, err := LoadShards(dir); err == nil {
+		if _, _, err := LoadGeneration(dir); err == nil {
 			t.Fatal("corrupt shard file loaded")
 		}
 	})
 	t.Run("meta body", func(t *testing.T) {
 		dir, _ := saveShardDir(t, a, 3)
 		flip(t, dir, shardMetaName, 16)
-		if _, _, err := LoadShards(dir); err == nil {
+		if _, _, err := LoadGeneration(dir); err == nil {
 			t.Fatal("corrupt meta file loaded")
 		}
 	})
@@ -153,7 +153,7 @@ func TestLoadShardsRejectsCorruption(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, shardFileName(2))); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := LoadShards(dir)
+		_, _, err := LoadGeneration(dir)
 		var sle *ShardLoadError
 		if err == nil || !errors.As(err, &sle) || sle.Index != 2 {
 			t.Fatalf("missing shard file: got %v, want *ShardLoadError for shard 2", err)
@@ -164,7 +164,7 @@ func TestLoadShardsRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, ShardManifestName), []byte("{"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadShards(dir); err == nil {
+		if _, _, err := LoadGeneration(dir); err == nil {
 			t.Fatal("garbage manifest accepted")
 		}
 	})
@@ -205,7 +205,7 @@ func TestLoadShardSingle(t *testing.T) {
 func TestSaveShardsRequiresLiveNet(t *testing.T) {
 	a := buildTiny(t)
 	dir, _ := saveShardDir(t, a, 2)
-	b, _, err := LoadShards(dir)
+	b, _, err := LoadGeneration(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,27 @@
 package pipeline
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"alicoco/internal/core"
 	"alicoco/internal/world"
 )
 
-// Snapshot persistence: an Artifacts bundle round-trips through the frozen
-// binary format, so cold start re-reads the served net from disk instead of
-// regenerating the world, retraining embeddings, and re-freezing. The file
-// is the core.FrozenNet section (versioned, checksummed, bulk-read CSR)
-// followed by a small gob section carrying the world-derived data serving
-// needs: the node maps and the ServingMeta (stopwords + item table).
+// Serving metadata: the world-derived data a snapshot carries beside the
+// frozen net, so cold start re-reads the served net from disk instead of
+// regenerating the world, retraining embeddings, and re-freezing. The
+// sharded snapshot format (shards.go) stores it once per generation in its
+// meta file.
 //
 // A loaded Artifacts is serving-only: Net, World, and the trained models
 // are nil. Offline mutation paths must check Net before using it.
 
-var snapshotMagic = [4]byte{'A', 'C', 'P', 'S'}
-
-const artifactsSnapshotVersion = 1
-
 // ServingMeta is the world-derived data the serving layer needs beyond the
 // net itself: the stopword list the search engine tokenizes with, and the
 // item table mapping world item IDs to net nodes, titles, and categories.
-// Build populates it; a snapshot round-trips it so a loaded Artifacts can
-// serve without a World.
+// Build populates it; a sharded snapshot round-trips it so a loaded
+// Artifacts can serve without a World.
 type ServingMeta struct {
 	Stopwords []string
 	Items     []ItemMeta
@@ -43,9 +35,10 @@ type ItemMeta struct {
 	Category string
 }
 
-// snapshotExtras is the gob wire form of everything beyond the frozen net.
-// Versioning lives in the container header; gob's own tolerance for
-// added/removed fields covers same-version evolution.
+// snapshotExtras is everything a snapshot carries beyond the frozen net.
+// Its deterministic gob wire form is shardMetaWire; versioning lives in the
+// meta file header, and gob's own tolerance for added/removed fields
+// covers same-version evolution.
 type snapshotExtras struct {
 	PrimNode  map[int]core.NodeID
 	FrameNode map[int]core.NodeID
@@ -54,7 +47,7 @@ type snapshotExtras struct {
 	Serving   ServingMeta
 }
 
-// servingExtras assembles the gob section from the artifacts' fields.
+// servingExtras assembles the extras from the artifacts' fields.
 func (a *Artifacts) servingExtras() snapshotExtras {
 	return snapshotExtras{
 		PrimNode:  a.PrimNode,
@@ -103,69 +96,4 @@ func (a *Artifacts) buildServingMeta() *ServingMeta {
 		})
 	}
 	return m
-}
-
-// SaveSnapshot writes the serving state of the artifacts — the frozen net
-// plus ServingMeta and node maps — in the binary snapshot format. The
-// writer should be buffered for large nets.
-func (a *Artifacts) SaveSnapshot(w io.Writer) error {
-	if a.Frozen == nil {
-		return errors.New("pipeline: save snapshot: no frozen net (call Freeze/Refreeze first)")
-	}
-	if a.Serving == nil {
-		return errors.New("pipeline: save snapshot: no serving metadata")
-	}
-	if _, err := w.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("pipeline: save snapshot: %w", err)
-	}
-	if _, err := w.Write([]byte{artifactsSnapshotVersion}); err != nil {
-		return fmt.Errorf("pipeline: save snapshot: %w", err)
-	}
-	if err := a.Frozen.Save(w); err != nil {
-		return err
-	}
-	extras := a.servingExtras()
-	if err := gob.NewEncoder(w).Encode(&extras); err != nil {
-		return fmt.Errorf("pipeline: save snapshot: %w", err)
-	}
-	return nil
-}
-
-// LoadSnapshot reads a snapshot written by SaveSnapshot and returns a
-// serving-only Artifacts: Frozen, the node maps, and Serving are populated;
-// Net, World, and the trained models are nil. Node references in the maps
-// and item table are validated against the loaded net.
-func LoadSnapshot(r io.Reader) (*Artifacts, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("pipeline: load snapshot: %w", err)
-	}
-	if [4]byte{head[0], head[1], head[2], head[3]} != snapshotMagic {
-		return nil, fmt.Errorf("pipeline: load snapshot: bad magic %q", head[:4])
-	}
-	if head[4] != artifactsSnapshotVersion {
-		return nil, fmt.Errorf("pipeline: load snapshot: unsupported version %d", head[4])
-	}
-	frozen, err := core.LoadFrozen(r)
-	if err != nil {
-		return nil, err
-	}
-	var extras snapshotExtras
-	if err := gob.NewDecoder(r).Decode(&extras); err != nil {
-		return nil, fmt.Errorf("pipeline: load snapshot: %w", err)
-	}
-	if err := extras.validate(frozen.NumNodes()); err != nil {
-		return nil, fmt.Errorf("pipeline: load snapshot: %w", err)
-	}
-	return &Artifacts{
-		Frozen:    frozen,
-		PrimNode:  extras.PrimNode,
-		FrameNode: extras.FrameNode,
-		ItemNode:  extras.ItemNode,
-		DomainCls: extras.DomainCls,
-		Serving:   &extras.Serving,
-	}, nil
 }

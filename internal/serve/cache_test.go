@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -19,12 +17,12 @@ import (
 // built from the shared test net.
 func cachedFixture(t *testing.T) *server {
 	t.Helper()
-	_, _, path := snapshotFixture(t)
-	coco, err := alicoco.LoadFrozen(path)
+	_, _, root := snapshotFixture(t)
+	coco, err := alicoco.LoadShardedFrozen(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(coco, path, 1024)
+	return newServer(coco, root, 1024)
 }
 
 // TestCachedResponsesByteIdentical is the regression guard for the
@@ -33,11 +31,11 @@ func cachedFixture(t *testing.T) *server {
 // — caching may change cost, never content.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	s := cachedFixture(t)
-	uncachedCoco, err := alicoco.LoadFrozen(s.snapshot)
+	uncachedCoco, err := alicoco.LoadShardedFrozen(s.snapshotDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached := newServer(uncachedCoco, s.snapshot, 0)
+	uncached := newServer(uncachedCoco, s.snapshotDir, 0)
 
 	sessions := testServer(t).coco.SampleSessions(2)
 	if len(sessions) == 0 {
@@ -126,48 +124,29 @@ func TestCacheHitSkipsRecomputation(t *testing.T) {
 func TestServeNoStaleAcrossReload(t *testing.T) {
 	optsA := alicoco.Options{Seed: 7, ItemsPerCategory: 2, Scenarios: 12, CorpusSentences: 150}
 	optsB := alicoco.Options{Seed: 11, ItemsPerCategory: 3, Scenarios: 12, CorpusSentences: 150}
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.fz")
-	pathB := filepath.Join(dir, "b.fz")
-	live := filepath.Join(dir, "live.fz")
-	for _, c := range []struct {
-		opts alicoco.Options
-		path string
-	}{{optsA, pathA}, {optsB, pathB}} {
-		coco, err := alicoco.Build(c.opts)
+	var nets [2]*alicoco.CoCo
+	for i, opts := range []alicoco.Options{optsA, optsB} {
+		coco, err := alicoco.Build(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := coco.SaveFrozen(c.path); err != nil {
+		nets[i] = coco
+	}
+	// The publisher commits A or B as the live catalog's newest generation.
+	s, live := catalogServer(t, nets[0], 1, cacheCfg(1024))
+	commit := func(i int) {
+		if _, err := nets[i].SaveShards(live, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	copyFile := func(src string) {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(live, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copyFile(pathA)
-	coco, err := alicoco.LoadFrozen(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(coco, live, 1024)
 
 	// Canonical responses per snapshot, computed on dedicated uncached
 	// servers. The recommend session is picked dynamically: the first one
 	// both nets answer 200 with *different* bodies, so a stale hit is
 	// detectable.
-	srvA, errA := alicoco.LoadFrozen(pathA)
-	srvB, errB := alicoco.LoadFrozen(pathB)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	canonSrv := [2]*server{newServer(srvA, pathA, 0), newServer(srvB, pathB, 0)}
+	srvA, _ := catalogServer(t, nets[0], 1, cacheCfg(0))
+	srvB, _ := catalogServer(t, nets[1], 1, cacheCfg(0))
+	canonSrv := [2]*server{srvA, srvB}
 	urls := []string{"/search?q=outdoor+barbecue"}
 	for i := 0; i < 40; i++ {
 		u := fmt.Sprintf("/recommend?items=%d,%d,%d&k=5", i, i+1, i+2)
@@ -221,11 +200,7 @@ func TestServeNoStaleAcrossReload(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		want := i % 2 // 0 -> A, 1 -> B ... starting by switching to B
 		want = 1 - want
-		if want == 1 {
-			copyFile(pathB)
-		} else {
-			copyFile(pathA)
-		}
+		commit(want)
 		rec := httptest.NewRecorder()
 		s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 		if rec.Code != http.StatusOK {

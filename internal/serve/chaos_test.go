@@ -1,5 +1,5 @@
 // Fault-injection chaos suite: hammers the query endpoints while
-// injecting corrupt/slow snapshot reads (via internal/faultfs), handler
+// injecting corrupt/slow shard-file reads (via internal/faultfs), handler
 // panics (via the server's fault hook), and overload far past admission
 // capacity, asserting the production-resilience invariants: the server
 // never serves a response from a snapshot it did not fully validate,
@@ -30,27 +30,40 @@ import (
 	"alicoco"
 	"alicoco/internal/faultfs"
 	"alicoco/internal/raceflag"
+	"alicoco/internal/snapstore"
 )
 
-// chaosServer clones the shared test net into a private snapshot file and
-// wires a server with an explicit resilience policy around it.
+// chaosServer commits the shared test net into a private three-shard
+// snapshot catalog (generation 1) and wires a server with an explicit
+// resilience policy around it.
 func chaosServer(t *testing.T, mutate func(*serveConfig)) *server {
 	t.Helper()
-	base := testServer(t)
-	path := filepath.Join(t.TempDir(), "live.fz")
-	if err := base.coco.SaveFrozen(path); err != nil {
-		t.Fatal(err)
-	}
-	coco, err := alicoco.LoadFrozen(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultServeConfig()
-	cfg.cacheSize = 1024
+	cfg := cacheCfg(1024)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return newServerCfg(coco, path, cfg)
+	s, _ := catalogServer(t, testServer(t).coco, 3, cfg)
+	return s
+}
+
+// commitAlt commits altNet as the newest generation of s's catalog — every
+// shard differs from what s serves, so a reload must read them all — and
+// returns that generation's directory.
+func commitAlt(t *testing.T, s *server) string {
+	t.Helper()
+	_, g, err := altNet(t).SaveShardsRetain(s.snapshotDir, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(s.snapshotDir, g.Dir)
+}
+
+// altAnswer is GET url as a server over altNet's content answers it.
+func altAnswer(t *testing.T, url string) string {
+	t.Helper()
+	ref, _ := catalogServer(t, altNet(t), 3, cacheCfg(0))
+	_, body := get(ref, url)
+	return body
 }
 
 // corruptFile flips one byte in the middle of path on disk.
@@ -66,11 +79,14 @@ func corruptFile(t *testing.T, path string) {
 	}
 }
 
-// TestChaosCorruptReloadKeepsServing injects corrupt reads into the
-// snapshot loader while the refresh loop fires as fast as it can and
-// clients hammer /search and /healthz: every query answer must stay
-// byte-identical to the last good generation, /healthz must never miss,
-// the breaker must open, and a manual good reload must close it again.
+// TestChaosCorruptReloadKeepsServing injects corrupt reads into the shard
+// loader for a newer catalog generation while the refresh loop fires as
+// fast as it can and clients hammer /search and /healthz: every query
+// answer must stay byte-identical to the last good generation, /healthz
+// must never miss, the breaker must open (re-anchoring serving on
+// generation 1 and skiplisting generation 2), and once the publisher
+// ships a fresh generation a manual reload must publish it and close the
+// breaker again.
 func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 	s := chaosServer(t, func(cfg *serveConfig) {
 		cfg.retries = 2
@@ -78,15 +94,18 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 		cfg.backoffMax = 4 * time.Millisecond
 		cfg.breakerThreshold = 3
 		cfg.breakerCooldown = time.Hour // stays open until the manual probe
-		cfg.quarantineAfter = 0         // keep the file in place for this test
+		cfg.quarantineAfter = 0         // keep the files in place for this test
 	})
-	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	genBefore := s.coco.ServingInfo().Generation
+	const url = "/search?q=outdoor+barbecue"
+	_, wantSearch := get(s, url)
+	wantAlt := altAnswer(t, url)
+	before := s.coco.ServingInfo()
 
-	// Every read of the snapshot file comes back corrupted at byte 512 —
-	// deep enough to pass the header, so the CRC/structure validation has
-	// to catch it.
-	restore := faultfs.Inject(faultfs.Fault{PathContains: filepath.Base(s.snapshot), CorruptAt: 512})
+	// Every read of generation 2's shard files comes back corrupted at
+	// byte 512 — deep enough to pass the header, so the CRC/structure
+	// validation has to catch it.
+	genDir := commitAlt(t, s)
+	restore := faultfs.Inject(faultfs.Fault{PathContains: filepath.Join(genDir, "shard-"), CorruptAt: 512})
 	defer restore()
 
 	done := make(chan struct{})
@@ -109,7 +128,7 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 					return
 				default:
 				}
-				if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
+				if code, body := get(s, url); code != http.StatusOK || body != wantSearch {
 					errc <- fmt.Errorf("search during corrupt reloads: status %d body %q", code, body)
 					return
 				}
@@ -121,78 +140,83 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 		}()
 	}
 
-	// Let the refresh loop chew on the corrupt file until the breaker
+	// Let the refresh loop chew on the corrupt files until the breaker
 	// opens and it stops attempting.
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().After(deadline) == false {
+	for time.Now().Before(deadline) {
 		if s.resilienceInfo().Reload.Breaker.State == "open" {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(stop)
-	ri := s.resilienceInfo()
-	if ri.Reload.Failures == 0 || ri.Reload.Breaker.State != "open" {
-		close(done)
-		wg.Wait()
-		t.Fatalf("breaker never opened under corrupt reloads: %+v", ri.Reload)
-	}
-	if got := s.coco.ServingInfo().Generation; got != genBefore {
-		close(done)
-		wg.Wait()
-		t.Fatalf("corrupt reload advanced generation %d -> %d", genBefore, got)
-	}
 	close(done)
 	wg.Wait()
+	ri := s.resilienceInfo()
+	if ri.Reload.Failures == 0 || ri.Reload.Breaker.State != "open" {
+		t.Fatalf("breaker never opened under corrupt reloads: %+v", ri.Reload)
+	}
+	if got := s.coco.ServingInfo(); got.CatalogGen != before.CatalogGen || got.Checksum != before.Checksum {
+		t.Fatalf("corrupt reload moved serving off generation %d (%s): %+v", before.CatalogGen, before.Checksum, got)
+	}
 	select {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
 	}
 
-	// Disarm the fault: a manual POST /reload (the operator's half-open
-	// probe) publishes a good generation and re-closes the breaker.
+	// Disarm the fault. Generation 2 stays skiplisted, so a manual reload
+	// holds; a fresh commit clears the hold, and the operator's POST
+	// /reload (the half-open probe) publishes it and re-closes the breaker.
 	restore()
-	rec := httptest.NewRecorder()
-	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("manual reload after disarm: status %d: %s", rec.Code, rec.Body.String())
+	if code, body := post(s, "/reload", ""); code != http.StatusOK || !strings.Contains(body, "held:") {
+		t.Fatalf("manual reload of the skiplisted generation: %d %s, want a hold", code, body)
+	}
+	commitAlt(t, s)
+	if code, body := post(s, "/reload", ""); code != http.StatusOK {
+		t.Fatalf("manual reload after disarm: status %d: %s", code, body)
 	}
 	if st := s.resilienceInfo().Reload.Breaker; st.State != "closed" || st.ConsecutiveFailures != 0 {
 		t.Fatalf("breaker did not close after good publish: %+v", st)
 	}
-	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
+	if code, body := get(s, url); code != http.StatusOK || body != wantAlt {
 		t.Fatalf("search after recovery: status %d body %q", code, body)
 	}
 }
 
-// TestChaosSlowReloadKeepsServing: a slow disk (injected per-read delay)
-// must stall only the reload, never the query path.
+// TestChaosSlowReloadKeepsServing: a slow disk (injected per-read delay on
+// a newer generation's shard files) must stall only the reload, never the
+// query path.
 func TestChaosSlowReloadKeepsServing(t *testing.T) {
 	s := chaosServer(t, nil)
-	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	defer faultfs.Inject(faultfs.Fault{PathContains: filepath.Base(s.snapshot), Delay: 2 * time.Millisecond})()
+	const url = "/search?q=outdoor+barbecue"
+	_, wantSearch := get(s, url)
+	wantAlt := altAnswer(t, url)
+	genDir := commitAlt(t, s)
+	defer faultfs.Inject(faultfs.Fault{PathContains: filepath.Join(genDir, "shard-"), Delay: 5 * time.Microsecond})()
 
 	reloadDone := make(chan struct{})
 	go func() {
 		defer close(reloadDone)
-		rec := httptest.NewRecorder()
-		s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
-		if rec.Code != http.StatusOK {
-			t.Errorf("slow reload failed: %d %s", rec.Code, rec.Body.String())
+		if code, body := post(s, "/reload", ""); code != http.StatusOK {
+			t.Errorf("slow reload failed: %d %s", code, body)
 		}
 	}()
 	// While the reload crawls through its delayed reads, queries answer
-	// instantly from the currently published snapshot.
+	// instantly from the currently published snapshot; once it swaps, from
+	// the new one.
 	served := 0
 	for {
 		select {
 		case <-reloadDone:
 		default:
-			if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
+			code, body := get(s, url)
+			if code != http.StatusOK || (body != wantSearch && body != wantAlt) {
 				t.Fatalf("search during slow reload: status %d", code)
 			}
-			served++
+			if body == wantSearch {
+				served++
+			}
 			continue
 		}
 		break
@@ -200,76 +224,86 @@ func TestChaosSlowReloadKeepsServing(t *testing.T) {
 	if served == 0 {
 		t.Skip("reload finished before any query ran; nothing proven this round")
 	}
-	if got := s.coco.ServingInfo().Generation; got < 2 {
-		t.Fatalf("slow reload never published: generation %d", got)
+	if got := s.coco.ServingInfo().CatalogGen; got != 2 {
+		t.Fatalf("slow reload never published: serving gen %d", got)
 	}
 }
 
-// TestChaosQuarantineAndRecovery drives the full bad-file story: a
-// snapshot corrupted on disk fails reload repeatedly, gets renamed into
-// quarantine, serving keeps the last good generation throughout, and
-// dropping a good file back re-closes the breaker on the next publish.
+// TestChaosQuarantineAndRecovery drives the full bad-file story on a
+// catalog: a shard file corrupted on disk in the newest generation fails
+// reload quarantineAfter times and is renamed aside via
+// snapstore.QuarantinePath; the next failure opens the breaker (serving
+// re-anchors on the older generation and skiplists the bad one); answers
+// stay byte-identical throughout; and once the operator restores the file
+// and re-admits the generation, the next reload closes the breaker.
 func TestChaosQuarantineAndRecovery(t *testing.T) {
 	s := chaosServer(t, func(cfg *serveConfig) {
 		cfg.quarantineAfter = 2
-		cfg.breakerThreshold = 2
+		cfg.breakerThreshold = 3
 		cfg.breakerCooldown = time.Hour
 	})
-	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	genBefore := s.coco.ServingInfo().Generation
-	good, err := os.ReadFile(s.snapshot)
+	const url = "/search?q=outdoor+barbecue"
+	_, wantSearch := get(s, url)
+	wantAlt := altAnswer(t, url)
+	genDir := commitAlt(t, s)
+	victim := filepath.Join(genDir, "shard-0001.fz")
+	good, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, s.snapshot)
+	quarantined := snapstore.QuarantinePath(victim, 2)
+	corruptFile(t, victim)
 
 	for i := 0; i < 2; i++ {
 		if _, err := s.tryReload(); err == nil {
-			t.Fatalf("reload %d of corrupt file succeeded", i)
+			t.Fatalf("reload %d of corrupt shard succeeded", i)
 		}
 	}
-	// Second consecutive failure crossed quarantineAfter: the bad file is
-	// renamed aside, the original path is gone.
-	if _, err := os.Stat(s.snapshot + ".quarantined"); err != nil {
-		t.Fatalf("bad snapshot not quarantined: %v", err)
+	// Second consecutive failure of shard 1 crossed quarantineAfter: the
+	// bad file is renamed aside, the original path is gone.
+	if _, err := os.Stat(quarantined); err != nil {
+		t.Fatalf("bad shard not quarantined at %s: %v", quarantined, err)
 	}
-	if _, err := os.Stat(s.snapshot); !os.IsNotExist(err) {
-		t.Fatalf("bad snapshot still at original path: %v", err)
+	if _, err := os.Stat(victim); !os.IsNotExist(err) {
+		t.Fatalf("bad shard still at original path: %v", err)
+	}
+	if got := s.resilienceInfo().Reload.Quarantined; got != 1 {
+		t.Fatalf("quarantine count %d, want 1", got)
+	}
+	// The next reload fails on the missing file — which must NOT
+	// quarantine anything else or panic — and opens the breaker.
+	if _, err := s.tryReload(); err == nil {
+		t.Fatal("reload with a missing shard file succeeded")
 	}
 	ri := s.resilienceInfo()
 	if ri.Reload.Quarantined != 1 || ri.Reload.Breaker.State != "open" {
 		t.Fatalf("after quarantine: %+v", ri.Reload)
 	}
-	// The refresh loop would now fail on a missing file — which must NOT
-	// quarantine anything else or panic.
-	if _, err := s.tryReload(); err == nil {
-		t.Fatal("reload of missing file succeeded")
-	}
-	if got := s.resilienceInfo().Reload.Quarantined; got != 1 {
-		t.Fatalf("missing file bumped quarantine count to %d", got)
-	}
 	// Serving never flinched.
-	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
+	if code, body := get(s, url); code != http.StatusOK || body != wantSearch {
 		t.Fatalf("search after quarantine: status %d", code)
 	}
-	if got := s.coco.ServingInfo().Generation; got != genBefore {
-		t.Fatalf("generation moved %d -> %d with no good publish", genBefore, got)
+	if g := s.coco.ServingInfo().CatalogGen; g != 1 {
+		t.Fatalf("serving gen %d with no good publish, want 1", g)
 	}
 
-	// Operator drops a good file back: next reload publishes and closes
-	// the breaker.
-	if err := os.WriteFile(s.snapshot, good, 0o644); err != nil {
+	// The operator drops the good file back and re-admits generation 2;
+	// the next reload finds it current and closes the breaker.
+	if err := os.WriteFile(victim, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if code, body := post(s, "/rollback?gen=2", ""); code != http.StatusOK {
+		t.Fatalf("re-admitting generation 2: %d %s", code, body)
+	}
 	if _, err := s.tryReload(); err != nil {
-		t.Fatalf("reload of restored file: %v", err)
+		t.Fatalf("reload after restore: %v", err)
 	}
 	ri = s.resilienceInfo()
 	if ri.Reload.Breaker.State != "closed" || ri.Reload.ConsecutiveFailures != 0 {
 		t.Fatalf("breaker did not recover: %+v", ri.Reload)
 	}
-	if got := s.coco.ServingInfo().Generation; got != genBefore+1 {
-		t.Fatalf("good publish did not advance generation: %d", got)
+	if code, body := get(s, url); code != http.StatusOK || body != wantAlt {
+		t.Fatalf("search after recovery: status %d body %q", code, body)
 	}
 }
 
@@ -423,59 +457,29 @@ func TestChaosOverloadSheds(t *testing.T) {
 }
 
 // TestChaosOverloadNeverServesStale combines overload shedding with
-// reload churn between two distinct snapshots: every 200 must match one
-// of the two known-good generations byte-for-byte — saturation and
+// reload churn between two distinct nets committed alternately into one
+// catalog: every 200 must match one of the two known-good nets
+// byte-for-byte — saturation and
 // republish may shed or delay a request, never corrupt one.
 func TestChaosOverloadNeverServesStale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos churn in -short mode")
 	}
-	optsA := alicoco.Options{Seed: 7, ItemsPerCategory: 2, Scenarios: 12, CorpusSentences: 150}
-	optsB := alicoco.Options{Seed: 11, ItemsPerCategory: 3, Scenarios: 12, CorpusSentences: 150}
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.fz")
-	pathB := filepath.Join(dir, "b.fz")
-	live := filepath.Join(dir, "live.fz")
-	for _, c := range []struct {
-		opts alicoco.Options
-		path string
-	}{{optsA, pathA}, {optsB, pathB}} {
-		coco, err := alicoco.Build(c.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coco.SaveFrozen(c.path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copyTo := func(src string) {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(live, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copyTo(pathA)
-	coco, err := alicoco.LoadFrozen(live)
+	netA, err := alicoco.Build(alicoco.Options{Seed: 7, ItemsPerCategory: 2, Scenarios: 12, CorpusSentences: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := defaultServeConfig()
-	cfg.cacheSize = 256
+	netB := altNet(t)
+	cfg := cacheCfg(256)
 	cfg.maxInflight = 2
 	cfg.queueDepth = 2
-	s := newServerCfg(coco, live, cfg)
+	s, live := catalogServer(t, netA, 1, cfg)
 
-	srvA, errA := alicoco.LoadFrozen(pathA)
-	srvB, errB := alicoco.LoadFrozen(pathB)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
+	srvA, _ := catalogServer(t, netA, 1, cacheCfg(0))
+	srvB, _ := catalogServer(t, netB, 1, cacheCfg(0))
 	const url = "/search?q=outdoor+barbecue"
-	_, canonA := get(newServer(srvA, pathA, 0), url)
-	_, canonB := get(newServer(srvB, pathB, 0), url)
+	_, canonA := get(srvA, url)
+	_, canonB := get(srvB, url)
 
 	h := s.handler()
 	stop := make(chan struct{})
@@ -509,10 +513,12 @@ func TestChaosOverloadNeverServesStale(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 8; i++ {
+		next := netA
 		if i%2 == 0 {
-			copyTo(pathB)
-		} else {
-			copyTo(pathA)
+			next = netB
+		}
+		if _, err := next.SaveShards(live, 1); err != nil {
+			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
@@ -649,7 +655,7 @@ func TestStatsResilienceSection(t *testing.T) {
 		t.Fatal("fresh server reports draining")
 	}
 	// A corrupt reload moves the failure counter through the HTTP surface.
-	corruptFile(t, s.snapshot)
+	corruptFile(t, filepath.Join(commitAlt(t, s), "shard-0001.fz"))
 	rec := httptest.NewRecorder()
 	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 	if rec.Code != http.StatusInternalServerError {

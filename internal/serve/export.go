@@ -33,12 +33,10 @@ type Config struct {
 	// means the resilience defaults (5ms / 100ms).
 	TargetDelay  time.Duration
 	ShedInterval time.Duration
-	// SnapshotDir, when non-empty, wires the crash-safe snapshot store
-	// (reload/rollback/scrub against a generation catalog).
+	// SnapshotDir, when non-empty, is the catalog root the facade was
+	// loaded from; it wires the crash-safe snapshot store
+	// (reload/rollback/scrub against the generation catalog).
 	SnapshotDir string
-	// Snapshot, when non-empty, is the single-file snapshot /reload
-	// re-reads.
-	Snapshot string
 	// SlowQuery, when > 0, logs responses slower than the threshold and
 	// counts them in cocoserve_slow_queries_total; 0 disables.
 	SlowQuery time.Duration
@@ -84,10 +82,7 @@ type Server struct{ s *server }
 // names a generation catalog the snapshot lifecycle (reload diffing,
 // rollback, scrubbing) engages exactly as under the cocoserve command.
 func New(coco *alicoco.CoCo, cfg Config) *Server {
-	s := newServerCfg(coco, cfg.Snapshot, cfg.toServeConfig())
-	s.snapshotDir = cfg.SnapshotDir
-	s.initStore()
-	return &Server{s: s}
+	return &Server{s: newServerCfg(coco, cfg.SnapshotDir, cfg.toServeConfig())}
 }
 
 // Handler is the production handler stack: the full route mux wrapped in

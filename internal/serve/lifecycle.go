@@ -62,9 +62,9 @@ type serveConfig struct {
 	// Reload hardening: retries failed reloads per refresh trigger with
 	// backoffBase..backoffMax jittered exponential delays; breakerThreshold
 	// consecutive failures open the breaker for breakerCooldown; after
-	// quarantineAfter consecutive failures the snapshot file is renamed
-	// aside. breakerThreshold 0 disables the breaker, quarantineAfter 0
-	// disables quarantine.
+	// quarantineAfter consecutive failures of one shard its file is
+	// renamed aside. breakerThreshold 0 disables the breaker,
+	// quarantineAfter 0 disables quarantine.
 	retries          int
 	backoffBase      time.Duration
 	backoffMax       time.Duration
@@ -72,11 +72,11 @@ type serveConfig struct {
 	breakerCooldown  time.Duration
 	quarantineAfter  int
 
-	// Snapstore lifecycle (catalog-backed -snapshot-dir only): retain
-	// bounds how many committed generations pruning keeps on disk;
-	// scrubInterval > 0 runs the background integrity scrubber on that
-	// period; validate is the post-swap check every newly published
-	// generation must pass or be rolled back (nil skips validation).
+	// Snapstore lifecycle (-snapshot-dir only): retain bounds how many
+	// committed generations pruning keeps on disk; scrubInterval > 0 runs
+	// the background integrity scrubber on that period; validate is the
+	// post-swap check every newly published generation must pass or be
+	// rolled back (nil skips validation).
 	retain        int
 	scrubInterval time.Duration
 	validate      func(*alicoco.CoCo) error
@@ -268,12 +268,29 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte("ready\n"))
 }
 
-// tryReload performs one reload attempt with the resilience bookkeeping:
-// outcome fed to the breaker, failure counters, backoff reset on success,
-// and quarantine of a snapshot file that keeps failing validation. Serving
-// keeps the last good snapshot through any number of failures — a reload
-// only ever publishes after full validation.
+// tryReload performs one full reload attempt (every changed shard of the
+// newest catalog generation, or a refreeze of a live-built net) with the
+// resilience bookkeeping of runReload.
 func (s *server) tryReload() (source string, err error) {
+	return s.runReload(-1)
+}
+
+// tryReloadShard force-reloads shard i of the -snapshot-dir partition with
+// the same bookkeeping as tryReload; a shard that keeps failing is
+// quarantined on its own while the rest of the partition keeps serving
+// and reloading.
+func (s *server) tryReloadShard(i int) (source string, err error) {
+	return s.runReload(i)
+}
+
+// runReload is the one reload path: shard < 0 reloads everything that
+// changed, shard >= 0 force-reloads that one shard. Both kinds honour the
+// bad-generation hold, run post-swap validation, and feed the outcome to
+// the breaker, the failure counters and the backoff; a shard file that
+// keeps failing is quarantined. Serving keeps the last good snapshot
+// through any number of failures — a reload only ever publishes after full
+// validation.
+func (s *server) runReload(shard int) (source string, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	// While the newest catalog generation is skiplisted (it failed
@@ -283,7 +300,11 @@ func (s *server) tryReload() (source string, err error) {
 		return "held: " + hold, nil
 	}
 	before := s.coco.ServingInfo().Generation
-	source, err = s.reload()
+	if shard < 0 {
+		source, err = s.reload()
+	} else {
+		source, err = "shard:"+strconv.Itoa(shard), s.coco.ReloadShard(s.snapshotDir, shard)
+	}
 	if err == nil {
 		err = s.validateSwapLocked(before)
 	}
@@ -293,7 +314,11 @@ func (s *server) tryReload() (source string, err error) {
 			s.backoff.Reset()
 		}
 		s.consecReloads = 0
-		clear(s.shardFails)
+		if shard < 0 {
+			clear(s.shardFails)
+		} else {
+			delete(s.shardFails, shard)
+		}
 		s.pruneLocked()
 		return source, nil
 	}
@@ -301,11 +326,8 @@ func (s *server) tryReload() (source string, err error) {
 	s.breaker.Failure()
 	s.consecReloads++
 	var sle *pipeline.ShardLoadError
-	if s.snapshotDir != "" && errors.As(err, &sle) {
+	if errors.As(err, &sle) {
 		s.noteShardFailureLocked(sle.Index, sle.File, err)
-	}
-	if s.snapshot != "" && s.cfg.quarantineAfter > 0 && s.consecReloads >= s.cfg.quarantineAfter {
-		s.quarantineSnapshot(err)
 	}
 	// Catalog-backed serving does not freeze on "last good in memory":
 	// when reloads keep failing past the breaker threshold, re-anchor on
@@ -318,36 +340,10 @@ func (s *server) tryReload() (source string, err error) {
 	return source, err
 }
 
-// tryReloadShard force-reloads one shard of the -snapshot-dir partition
-// with the same resilience bookkeeping as tryReload: the outcome feeds the
-// breaker, and a shard that keeps failing is quarantined on its own —
-// the rest of the partition keeps serving and reloading.
-func (s *server) tryReloadShard(i int) error {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	err := s.coco.ReloadShard(s.snapshotDir, i)
-	if err == nil {
-		s.breaker.Success()
-		if s.backoff != nil {
-			s.backoff.Reset()
-		}
-		s.consecReloads = 0
-		delete(s.shardFails, i)
-		return nil
-	}
-	s.reloadFailures.Add(1)
-	s.breaker.Failure()
-	var sle *pipeline.ShardLoadError
-	if errors.As(err, &sle) {
-		s.noteShardFailureLocked(sle.Index, sle.File, err)
-	}
-	return err
-}
-
 // noteShardFailureLocked counts a reload failure attributed to one shard
-// and quarantines that shard's file once it keeps failing — the sharded
-// analogue of quarantineSnapshot, scoped to the one bad file so the other
-// shards keep reloading. Callers hold reloadMu.
+// and quarantines that shard's file in the newest committed generation
+// (the one reloads read) once it keeps failing, so the other shards keep
+// reloading. Callers hold reloadMu.
 func (s *server) noteShardFailureLocked(idx int, file string, cause error) {
 	if s.shardFails == nil {
 		s.shardFails = make(map[int]int)
@@ -357,12 +353,10 @@ func (s *server) noteShardFailureLocked(idx int, file string, cause error) {
 		return
 	}
 	s.shardFails[idx] = 0
-	// The failing file lives in the directory reloads actually read: the
-	// newest committed generation when -snapshot-dir is a catalog store,
-	// the directory itself when it is flat.
-	dir, gen := s.snapshotDir, uint64(0)
-	if resolved, g, isStore, err := snapstore.ResolveDir(dir); err == nil && isStore {
-		dir, gen = resolved, g
+	dir, gen, err := snapstore.ResolveDir(s.snapshotDir)
+	if err != nil {
+		log.Printf("quarantine: %v", err)
+		return
 	}
 	path := filepath.Join(dir, file)
 	if _, err := os.Stat(path); err != nil {
@@ -378,28 +372,6 @@ func (s *server) noteShardFailureLocked(idx int, file string, cause error) {
 	}
 	s.quarantines.Add(1)
 	log.Printf("quarantined shard %d (%s -> %s) after repeated failures (last: %v)", idx, path, dst, cause)
-}
-
-// quarantineSnapshot renames the persistently failing snapshot file aside
-// (path -> path.quarantined) so the refresh loop stops re-reading a file
-// that will never validate and an operator can inspect it; the last good
-// generation keeps serving. A file that is simply missing is not
-// quarantined — there is nothing to rename and nothing to inspect.
-func (s *server) quarantineSnapshot(cause error) {
-	if _, err := os.Stat(s.snapshot); err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			log.Printf("quarantine: stat %s: %v", s.snapshot, err)
-		}
-		return
-	}
-	dst := snapstore.QuarantinePath(s.snapshot, 0)
-	if err := os.Rename(s.snapshot, dst); err != nil {
-		log.Printf("quarantine: rename %s: %v", s.snapshot, err)
-		return
-	}
-	s.quarantines.Add(1)
-	log.Printf("quarantined snapshot %s -> %s after %d consecutive failures (last: %v)",
-		s.snapshot, dst, s.consecReloads, cause)
 }
 
 // refreshLoop reloads on a stoppable ticker. A failed reload is retried up

@@ -54,14 +54,12 @@ const maxPooledEncodeBuf = 64 << 10
 type server struct {
 	coco *alicoco.CoCo
 
-	// snapshot is the file /reload re-reads; empty when the net was built
-	// live, in which case /reload re-freezes instead. Reloads serialize on
-	// the facade's own offline lock; queries are never blocked.
-	snapshot string
-
-	// snapshotDir is the sharded snapshot directory /reload diffs against
-	// serving (only shards whose checksums changed are re-read); it takes
-	// precedence over snapshot. /reload?shard=i force-reloads one shard.
+	// snapshotDir is the snapshot catalog root /reload diffs against
+	// serving (only shards whose checksums changed are re-read);
+	// /reload?shard=i force-reloads one shard. Empty when the net was
+	// built live, in which case /reload re-freezes instead. Reloads
+	// serialize on the facade's own offline lock; queries are never
+	// blocked.
 	snapshotDir string
 
 	// searchBytes / recBytes cache the *encoded JSON bytes* of the hot
@@ -99,12 +97,11 @@ type server struct {
 	degraded       atomic.Uint64 // misses refused for lack of deadline budget
 	reloadFailures atomic.Uint64 // reload attempts that returned an error
 	reloadRetries  atomic.Uint64 // backoff retries after a failed reload
-	quarantines    atomic.Uint64 // snapshot files renamed aside
+	quarantines    atomic.Uint64 // shard files renamed aside
 
-	// store is the generation catalog behind -snapshot-dir, nil when the
-	// directory is flat (pre-catalog) or absent; it powers rollback,
-	// retention pruning, and scrub repair. See snapstore.go in this
-	// package.
+	// store is the generation catalog behind -snapshot-dir, nil when
+	// serving a live-built net; it powers rollback, retention pruning, and
+	// scrub repair. See snapstore.go in this package.
 	store *snapstore.Store
 
 	// Snapstore lifecycle counters surfaced by /stats.
@@ -151,17 +148,19 @@ type server struct {
 
 // newServer wires a server around a facade with the given per-cache entry
 // budget (the facade's engine-level caches are resized to match) and the
-// default resilience policy.
-func newServer(coco *alicoco.CoCo, snapshot string, cacheSize int) *server {
+// default resilience policy. snapshotDir is the catalog root the facade
+// was loaded from ("" for a live-built net).
+func newServer(coco *alicoco.CoCo, snapshotDir string, cacheSize int) *server {
 	cfg := defaultServeConfig()
 	cfg.cacheSize = cacheSize
-	return newServerCfg(coco, snapshot, cfg)
+	return newServerCfg(coco, snapshotDir, cfg)
 }
 
 // newServerCfg is newServer with an explicit resilience policy.
-func newServerCfg(coco *alicoco.CoCo, snapshot string, cfg serveConfig) *server {
+func newServerCfg(coco *alicoco.CoCo, snapshotDir string, cfg serveConfig) *server {
 	coco.SetQueryCacheCapacity(cfg.cacheSize)
-	s := &server{coco: coco, snapshot: snapshot, cfg: cfg}
+	s := &server{coco: coco, snapshotDir: snapshotDir, cfg: cfg}
+	s.initStore()
 	if cfg.cacheSize > 0 {
 		s.searchBytes = qcache.New(cfg.cacheSize)
 		s.recBytes = qcache.New(cfg.cacheSize)
@@ -399,16 +398,15 @@ func (s *server) cacheInfo() cacheInfo {
 }
 
 type snapshotInfo struct {
-	Source      string      `json:"source"`             // build | snapshot | shards | refreeze
+	Source      string      `json:"source"`             // build | shards | refreeze | rollback
 	Generation  uint64      `json:"generation"`         // serving publishes since startup
 	Checksum    string      `json:"checksum,omitempty"` // CRC-32 of the loaded snapshot content
-	File        string      `json:"file,omitempty"`     // -snapshot path, when serving from one
-	Dir         string      `json:"dir,omitempty"`      // -snapshot-dir path, when serving shards
+	Dir         string      `json:"dir,omitempty"`      // -snapshot-dir catalog root, when serving from one
 	PublishedAt string      `json:"published_at"`       // RFC 3339
 	AgeSeconds  float64     `json:"age_seconds"`        // time since publish
 	Nodes       int         `json:"nodes"`
 	Edges       int         `json:"edges"`
-	Shards      []shardStat `json:"shards,omitempty"` // per-shard state of a partitioned store
+	Shards      []shardStat `json:"shards,omitempty"` // per-shard state of the serving partition
 }
 
 // shardStat is one shard's slice of the /stats snapshot section:
@@ -432,29 +430,26 @@ func (s *server) snapshotInfo() snapshotInfo {
 		Source:      info.Source,
 		Generation:  info.Generation,
 		Checksum:    info.Checksum,
-		File:        s.snapshot,
 		Dir:         s.snapshotDir,
 		PublishedAt: info.PublishedAt.UTC().Format(time.RFC3339),
 		AgeSeconds:  time.Since(info.PublishedAt).Seconds(),
 		Nodes:       info.Nodes,
 		Edges:       info.Edges,
 	}
-	if shards := s.coco.ShardInfos(); len(shards) > 0 {
-		s.reloadMu.Lock()
-		for _, si := range shards {
-			out.Shards = append(out.Shards, shardStat{
-				Index:       si.Index,
-				Checksum:    si.Checksum,
-				Generation:  si.Generation,
-				PublishedAt: si.PublishedAt.UTC().Format(time.RFC3339),
-				AgeSeconds:  time.Since(si.PublishedAt).Seconds(),
-				Nodes:       si.Nodes,
-				Edges:       si.Edges,
-				Failures:    s.shardFails[si.Index],
-			})
-		}
-		s.reloadMu.Unlock()
+	s.reloadMu.Lock()
+	for _, si := range s.coco.ShardInfos() {
+		out.Shards = append(out.Shards, shardStat{
+			Index:       si.Index,
+			Checksum:    si.Checksum,
+			Generation:  si.Generation,
+			PublishedAt: si.PublishedAt.UTC().Format(time.RFC3339),
+			AgeSeconds:  time.Since(si.PublishedAt).Seconds(),
+			Nodes:       si.Nodes,
+			Edges:       si.Edges,
+			Failures:    s.shardFails[si.Index],
+		})
 	}
+	s.reloadMu.Unlock()
 	return out
 }
 
@@ -685,12 +680,14 @@ func (s *server) handleHypernyms(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"name": name, "hypernyms": s.coco.Hypernyms(name)})
 }
 
-// handleReload swaps in a fresh serving snapshot: re-read from the snapshot
-// file when one was configured, otherwise a re-freeze of the live net. The
-// loader verifies the file's checksum and structure before anything is
-// published, so a bad snapshot cannot displace the serving state; queries
-// keep serving the old snapshot throughout, and the swap itself is one
-// atomic pointer store.
+// handleReload swaps in a fresh serving snapshot: the newest generation of
+// the -snapshot-dir catalog (all changed shards, or with ?shard=i that one
+// shard), otherwise a re-freeze of the live net. The loader verifies every
+// file's checksum and structure before anything is published, so a bad
+// snapshot cannot displace the serving state; queries keep serving the
+// old snapshot throughout, and the swap itself is one atomic pointer
+// store. A reload held by the bad-generation skiplist answers 200 with a
+// "held: ..." source.
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -709,13 +706,14 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad shard parameter", http.StatusBadRequest)
 			return
 		}
-		if err := s.tryReloadShard(i); err != nil {
+		source, err := s.tryReloadShard(i)
+		if err != nil {
 			http.Error(w, "reload failed: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
 		s.writeJSON(w, map[string]any{
 			"status":   "reloaded",
-			"source":   "shard:" + shardStr,
+			"source":   source,
 			"snapshot": s.snapshotInfo(),
 		})
 		return
@@ -733,14 +731,11 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) reload() (source string, err error) {
-	if s.snapshotDir != "" {
-		changed, err := s.coco.ReloadShards(s.snapshotDir)
-		return "shards:" + s.snapshotDir + " (" + strconv.Itoa(changed) + " reloaded)", err
+	if s.snapshotDir == "" {
+		return "refreeze", s.coco.Refreeze()
 	}
-	if s.snapshot != "" {
-		return "snapshot:" + s.snapshot, s.coco.ReloadFrozen(s.snapshot)
-	}
-	return "refreeze", s.coco.Refreeze()
+	changed, err := s.coco.ReloadShards(s.snapshotDir)
+	return "shards:" + s.snapshotDir + " (" + strconv.Itoa(changed) + " reloaded)", err
 }
 
 // mux builds the route table. Query, lifecycle, and stats routes run
@@ -772,11 +767,10 @@ func (s *server) mux() *http.ServeMux {
 func Main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.String("scale", "small", "build scale: small or default")
-	snapshot := flag.String("snapshot", "", "serve from a frozen snapshot file instead of building")
 	snapshotDir := flag.String("snapshot-dir", "",
-		"serve from a sharded snapshot directory (manifest + per-shard files); /reload re-reads only changed shards")
+		"serve from the newest generation of a snapshot catalog root instead of building; /reload re-reads only changed shards")
 	shards := flag.Int("shards", 0,
-		"partition a built net into N independently reloadable shards (ignored with -snapshot/-snapshot-dir)")
+		"partition a built net into N independently reloadable shards (ignored with -snapshot-dir)")
 	refresh := flag.Duration("refresh", 0, "if > 0, reload the snapshot (or refreeze) on this interval")
 	cacheSize := flag.Int("cache-size", alicoco.DefaultQueryCacheCapacity,
 		"query cache capacity in entries per cache layer (0 disables caching)")
@@ -807,24 +801,14 @@ func Main() {
 
 	var coco *alicoco.CoCo
 	var err error
-	switch {
-	case *snapshotDir != "" && *snapshot != "":
-		log.Fatalf("-snapshot and -snapshot-dir are mutually exclusive")
-	case *snapshotDir != "":
+	if *snapshotDir != "" {
 		start := time.Now()
 		coco, err = alicoco.LoadShardedFrozen(*snapshotDir)
 		if err != nil {
-			log.Fatalf("load sharded snapshot: %v", err)
+			log.Fatalf("load snapshot catalog: %v", err)
 		}
 		log.Printf("loaded %d shards from %s in %v", coco.NumShards(), *snapshotDir, time.Since(start).Round(time.Millisecond))
-	case *snapshot != "":
-		start := time.Now()
-		coco, err = alicoco.LoadFrozen(*snapshot)
-		if err != nil {
-			log.Fatalf("load snapshot: %v", err)
-		}
-		log.Printf("loaded snapshot %s in %v", *snapshot, time.Since(start).Round(time.Millisecond))
-	default:
+	} else {
 		opts := alicoco.Small()
 		if *scale == "default" {
 			opts = alicoco.Default()
@@ -850,9 +834,7 @@ func Main() {
 	cfg.scrubInterval = *scrubInterval
 	cfg.slowQuery = *slowQuery
 	cfg.pprofAddr = *pprofAddr
-	s := newServerCfg(coco, *snapshot, cfg)
-	s.snapshotDir = *snapshotDir
-	s.initStore()
+	s := newServerCfg(coco, *snapshotDir, cfg)
 	if s.store != nil {
 		log.Printf("snapstore catalog at %s: serving gen %d, retain %d, scrub interval %v",
 			s.store.Root(), coco.ServingInfo().CatalogGen, s.store.Retain(), *scrubInterval)

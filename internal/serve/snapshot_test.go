@@ -18,39 +18,78 @@ import (
 var (
 	snapOnce   sync.Once
 	snapErr    error
-	snapPath   string
-	snapLoaded *server // serves from the loaded snapshot, reload re-reads the file
+	snapRoot   string
+	snapLoaded *server // serves from the loaded catalog, reload re-reads it
 )
 
-// snapshotFixture saves the shared built net to a frozen snapshot once and
-// loads a second, snapshot-backed server from it.
-func snapshotFixture(t *testing.T) (built *server, loaded *server, path string) {
+// snapshotFixture saves the shared built net to a one-shard snapshot
+// catalog once and loads a second, snapshot-backed server from it.
+func snapshotFixture(t *testing.T) (built *server, loaded *server, root string) {
 	t.Helper()
 	built = testServer(t)
 	snapOnce.Do(func() {
 		// The fixture outlives the first test that builds it, so it cannot
 		// live in that test's TempDir.
-		dir, err := os.MkdirTemp("", "cocoserve-snap-")
+		snapRoot, snapErr = os.MkdirTemp("", "cocoserve-snap-")
+		if snapErr != nil {
+			return
+		}
+		if _, snapErr = built.coco.SaveShards(snapRoot, 1); snapErr != nil {
+			return
+		}
+		coco, err := alicoco.LoadShardedFrozen(snapRoot)
 		if err != nil {
 			snapErr = err
 			return
 		}
-		snapPath = filepath.Join(dir, "net.fz")
-		if err := built.coco.SaveFrozen(snapPath); err != nil {
-			snapErr = err
-			return
-		}
-		coco, err := alicoco.LoadFrozen(snapPath)
-		if err != nil {
-			snapErr = err
-			return
-		}
-		snapLoaded = &server{coco: coco, snapshot: snapPath}
+		snapLoaded = &server{coco: coco, snapshotDir: snapRoot}
 	})
 	if snapErr != nil {
 		t.Fatal(snapErr)
 	}
-	return built, snapLoaded, snapPath
+	return built, snapLoaded, snapRoot
+}
+
+// catalogServer commits c into a fresh snapshot catalog as a shards-way
+// partition and serves it under cfg, as `cocoserve -snapshot-dir` would.
+func catalogServer(t testing.TB, c *alicoco.CoCo, shards int, cfg serveConfig) (*server, string) {
+	t.Helper()
+	root := t.TempDir()
+	if _, err := c.SaveShards(root, shards); err != nil {
+		t.Fatal(err)
+	}
+	coco, err := alicoco.LoadShardedFrozen(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newServerCfg(coco, root, cfg), root
+}
+
+// cacheCfg is the default policy with the given per-layer cache size.
+func cacheCfg(size int) serveConfig {
+	cfg := defaultServeConfig()
+	cfg.cacheSize = size
+	return cfg
+}
+
+var (
+	altOnce sync.Once
+	altCoco *alicoco.CoCo
+	altErr  error
+)
+
+// altNet is a second, deliberately different built net (another seed and
+// shape), shared by the tests that need a newer catalog generation whose
+// every shard differs from the served one.
+func altNet(t testing.TB) *alicoco.CoCo {
+	t.Helper()
+	altOnce.Do(func() {
+		altCoco, altErr = alicoco.Build(alicoco.Options{Seed: 11, ItemsPerCategory: 3, Scenarios: 12, CorpusSentences: 150})
+	})
+	if altErr != nil {
+		t.Fatal(altErr)
+	}
+	return altCoco
 }
 
 func get(s *server, url string) (int, string) {
@@ -59,9 +98,9 @@ func get(s *server, url string) (int, string) {
 	return rec.Code, rec.Body.String()
 }
 
-// TestSnapshotServesIdenticalAnswers: a cocoserve started from -snapshot
-// must answer every endpoint byte-identically to the freshly built net it
-// was saved from.
+// TestSnapshotServesIdenticalAnswers: a cocoserve started from a one-shard
+// -snapshot-dir catalog must answer every endpoint byte-identically to the
+// freshly built net it was saved from.
 func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 	built, loaded, _ := snapshotFixture(t)
 
@@ -107,10 +146,11 @@ func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 
 // TestStatsSnapshotSection checks the operational metadata /stats now
 // exposes: a built server reports source "build" with no checksum, a
-// snapshot-loaded one reports source "snapshot" with the file's CRC-32,
-// and both report serving counts and a sane age.
+// catalog-loaded one reports source "shards" with the content checksum and
+// its catalog root, and both report serving counts, a sane age, and their
+// one-shard partition.
 func TestStatsSnapshotSection(t *testing.T) {
-	built, loaded, path := snapshotFixture(t)
+	built, loaded, root := snapshotFixture(t)
 	type statsResp struct {
 		Snapshot snapshotInfo `json:"snapshot"`
 	}
@@ -121,15 +161,18 @@ func TestStatsSnapshotSection(t *testing.T) {
 	if _, body := get(loaded, "/stats"); json.Unmarshal([]byte(body), &l) != nil {
 		t.Fatal("bad loaded stats")
 	}
-	if b.Snapshot.Source != "build" || b.Snapshot.Checksum != "" || b.Snapshot.File != "" {
+	if b.Snapshot.Source != "build" || b.Snapshot.Checksum != "" || b.Snapshot.Dir != "" {
 		t.Fatalf("built snapshot section: %+v", b.Snapshot)
 	}
-	if l.Snapshot.Source != "snapshot" || l.Snapshot.Checksum == "" || l.Snapshot.File != path {
+	if l.Snapshot.Source != "shards" || l.Snapshot.Checksum == "" || l.Snapshot.Dir != root {
 		t.Fatalf("loaded snapshot section: %+v", l.Snapshot)
 	}
 	for _, sn := range []snapshotInfo{b.Snapshot, l.Snapshot} {
 		if sn.Nodes == 0 || sn.Edges == 0 || sn.Generation == 0 {
 			t.Fatalf("empty serving counts: %+v", sn)
+		}
+		if len(sn.Shards) != 1 || sn.Shards[0].Nodes != sn.Nodes {
+			t.Fatalf("one-shard partition not reported: %+v", sn.Shards)
 		}
 		if sn.AgeSeconds < 0 || sn.PublishedAt == "" {
 			t.Fatalf("bad publish age: %+v", sn)
@@ -141,32 +184,22 @@ func TestStatsSnapshotSection(t *testing.T) {
 }
 
 // TestReloadRejectsCorruptSnapshot is the checksum-verification guard: a
-// reload pointed at a corrupted snapshot file must fail without touching
-// the serving state, and the generation must not advance.
+// reload of a newer catalog generation whose shard file is corrupted must
+// fail without touching the serving state, and the generation must not
+// advance.
 func TestReloadRejectsCorruptSnapshot(t *testing.T) {
-	built := testServer(t)
-	path := filepath.Join(t.TempDir(), "net.fz")
-	if err := built.coco.SaveFrozen(path); err != nil {
-		t.Fatal(err)
-	}
-	coco, err := alicoco.LoadFrozen(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &server{coco: coco, snapshot: path}
+	s, root := catalogServer(t, testServer(t).coco, 1, serveConfig{})
+	coco := s.coco
 	wantCode, wantSearch := get(s, "/search?q=outdoor+barbecue")
 	genBefore := coco.ServingInfo().Generation
 
-	// Flip one byte in the middle of the file: the CRC-32 check (or a
-	// structural validation before it) must reject the load.
-	data, err := os.ReadFile(path)
-	if err != nil {
+	// Generation 2 holds a different net; flip one byte in the middle of
+	// its shard file: the CRC-32 check (or a structural validation before
+	// it) must reject the load.
+	if _, err := altNet(t).SaveShards(root, 1); err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptFile(t, filepath.Join(root, "gen-000002", "shard-0000.fz"))
 	rec := httptest.NewRecorder()
 	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -183,11 +216,14 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 }
 
 // TestReloadHotSwapUnderLoad hammers the query endpoints from several
-// goroutines while /reload re-reads the snapshot repeatedly: every query
-// must keep succeeding with a correct answer (zero downtime), and every
-// reload must succeed. Run under -race this also proves the swap is sound.
+// goroutines while the publisher keeps committing generations of the same
+// net and /reload swaps each in — alternating a full reload with a forced
+// re-read of the shard file: every query must keep succeeding with a
+// correct answer (zero downtime), and every reload must succeed. Run under
+// -race this also proves the swap is sound.
 func TestReloadHotSwapUnderLoad(t *testing.T) {
-	_, loaded, _ := snapshotFixture(t)
+	built := testServer(t)
+	loaded, root := catalogServer(t, built.coco, 1, serveConfig{})
 	_, wantSearch := get(loaded, "/search?q=outdoor+barbecue")
 
 	stop := make(chan struct{})
@@ -220,8 +256,16 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 10; i++ {
+		url := "/reload?shard=0"
+		if i%2 == 0 {
+			if _, err := built.coco.SaveShards(root, 1); err != nil {
+				t.Fatal(err)
+			}
+			url = "/reload"
+		}
+		genBefore := loaded.coco.ServingInfo().Generation
 		rec := httptest.NewRecorder()
-		loaded.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
+		loaded.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, nil))
 		if rec.Code != http.StatusOK {
 			t.Errorf("reload %d: status %d: %s", i, rec.Code, rec.Body.String())
 			break
@@ -236,6 +280,10 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 		}
 		if resp.Status != "reloaded" || resp.Snapshot.Nodes == 0 || resp.Snapshot.Edges == 0 || resp.Snapshot.Checksum == "" {
 			t.Errorf("reload %d: unexpected response %+v", i, resp)
+			break
+		}
+		if resp.Snapshot.Generation <= genBefore {
+			t.Errorf("reload %d (%s) swapped nothing: generation %d", i, url, resp.Snapshot.Generation)
 			break
 		}
 	}

@@ -1,13 +1,12 @@
-// Snapshot-store lifecycle wiring for cocoserve: when -snapshot-dir points
-// at a generation catalog (a store written by `alicoco snapshot save -dir`
-// or pipeline.SaveShards), the server gains the crash-safe lifecycle on
+// Snapshot-store lifecycle wiring for cocoserve: -snapshot-dir names a
+// generation catalog (a store written by `alicoco snapshot save` or
+// pipeline.SaveShards), and the server gains the crash-safe lifecycle on
 // top of plain reloads — automatic rollback down the catalog when a new
 // generation fails post-swap validation or trips the reload breaker, a
 // POST /rollback operator endpoint, retention pruning (-retain), a
 // background integrity scrubber (-scrub-interval), and a /stats
-// "snapstore" section reporting all of it. A flat (pre-catalog) snapshot
-// directory leaves every feature here disabled and serves exactly as
-// before.
+// "snapstore" section reporting all of it. A live-built server (no
+// -snapshot-dir) leaves every feature here disabled.
 package serve
 
 import (
@@ -22,12 +21,15 @@ import (
 	"alicoco/internal/snapstore"
 )
 
-// initStore opens the generation catalog behind -snapshot-dir when there
-// is one. Open runs the torn-write recovery sweep, so by the time the
-// server accepts traffic every uncommitted temp directory from a crashed
-// save is gone.
+// initStore opens the generation catalog behind -snapshot-dir. Open runs
+// the torn-write recovery sweep, so by the time the server accepts traffic
+// every uncommitted temp directory from a crashed save is gone.
 func (s *server) initStore() {
-	if s.snapshotDir == "" || !snapstore.IsStore(s.snapshotDir) {
+	if s.snapshotDir == "" {
+		return
+	}
+	if !snapstore.IsStore(s.snapshotDir) {
+		log.Printf("snapstore: %s is not a snapshot catalog root (rollback/scrub disabled)", s.snapshotDir)
 		return
 	}
 	st, err := snapstore.Open(s.snapshotDir, snapstore.Options{Retain: s.cfg.retain})
@@ -293,7 +295,7 @@ func (s *server) scrubTick() {
 
 // snapstoreInfo is the /stats "snapstore" section: catalog state, rollback
 // history, and scrubber counters. Enabled is false (and everything else
-// zero) when -snapshot-dir is absent or a flat pre-catalog directory.
+// zero) when -snapshot-dir is absent.
 type snapstoreInfo struct {
 	Enabled            bool          `json:"enabled"`
 	Root               string        `json:"root,omitempty"`

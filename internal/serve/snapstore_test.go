@@ -38,9 +38,7 @@ func newCatalogServer(t *testing.T, gens int) (*server, *alicoco.CoCo, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(serving, "", alicoco.DefaultQueryCacheCapacity)
-	s.snapshotDir = dir
-	s.initStore()
+	s := newServer(serving, dir, alicoco.DefaultQueryCacheCapacity)
 	if s.store == nil {
 		t.Fatal("catalog store not detected")
 	}
@@ -229,11 +227,69 @@ func TestScrubTickRepairsAndReports(t *testing.T) {
 }
 
 // TestStatsSnapstoreDisabled: without a catalog the section stays inert —
-// flat directories and live-built servers behave exactly as before.
+// a live-built server has no snapshot lifecycle.
 func TestStatsSnapstoreDisabled(t *testing.T) {
 	built := testServer(t)
 	sn := statsSnapstore(t, built)
 	if sn.Enabled || sn.Root != "" || len(sn.Generations) != 0 {
 		t.Fatalf("snapstore section on a live-built server: %+v", sn)
+	}
+}
+
+// TestShardReloadHonoursHoldAndValidation: a forced per-shard reload runs
+// through the same bookkeeping as a full reload. While the newest
+// generation is skiplisted it holds (200 with a "held:" source) instead of
+// republishing that generation's content, and a per-shard reload that
+// publishes a generation failing post-swap validation is rolled back and
+// counted as a consecutive failure.
+func TestShardReloadHonoursHoldAndValidation(t *testing.T) {
+	s, coco, dir := newCatalogServer(t, 1)
+	s.cfg.validate = func(c *alicoco.CoCo) error {
+		if g := c.ServingInfo().CatalogGen; g == 2 || g == 3 {
+			return errors.New("golden query came back empty")
+		}
+		return nil
+	}
+	commit := func() {
+		t.Helper()
+		if _, err := coco.InferImplicitRelations(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coco.SaveShards(dir, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Generation 2 fails validation on a full reload and is rolled back.
+	commit()
+	if _, err := s.tryReload(); err == nil {
+		t.Fatal("reload of invalid generation 2 succeeded")
+	}
+	before := s.coco.ServingInfo()
+	if before.CatalogGen != 1 {
+		t.Fatalf("serving gen %d after rollback, want 1", before.CatalogGen)
+	}
+
+	// A per-shard reload must hold, not republish generation 2's shard.
+	code, body := post(s, "/reload?shard=2", "")
+	if code != http.StatusOK || !strings.Contains(body, `"source":"held:`) {
+		t.Fatalf("shard reload of skiplisted generation: %d %s, want a hold", code, body)
+	}
+	if got := s.coco.ServingInfo(); got.CatalogGen != 1 || got.Generation != before.Generation || got.Checksum != before.Checksum {
+		t.Fatalf("held shard reload changed serving: %+v -> %+v", before, got)
+	}
+
+	// Generation 3 supersedes the skiplist but is invalid too: the
+	// per-shard reload publishes it, fails validation, and rolls back.
+	commit()
+	consec := s.resilienceInfo().Reload.ConsecutiveFailures
+	if code, body := post(s, "/reload?shard=0", ""); code != http.StatusInternalServerError || !strings.Contains(body, "validation") {
+		t.Fatalf("shard reload of invalid generation 3: %d %s, want a validation failure", code, body)
+	}
+	if g := s.coco.ServingInfo().CatalogGen; g != 1 {
+		t.Fatalf("serving gen %d after invalid shard reload, want 1", g)
+	}
+	if got := s.resilienceInfo().Reload.ConsecutiveFailures; got != consec+1 {
+		t.Fatalf("consecutive reload failures %d -> %d, want +1", consec, got)
 	}
 }

@@ -1,6 +1,5 @@
 // Package snapstore is the crash-safe lifecycle layer under sharded
-// snapshot directories: instead of one flat directory that every save
-// overwrites in place, a store root holds an append-only sequence of
+// snapshots: a store root holds an append-only sequence of
 // retained generations plus a journaled catalog naming the committed ones:
 //
 //	root/
@@ -23,6 +22,10 @@
 // is serving — are never pruned), so a generation that loads clean but
 // misbehaves can be rolled back to the newest earlier generation that
 // still verifies.
+//
+// A catalog root is the only snapshot location the system accepts:
+// ResolveDir rejects bare generation directories and pre-catalog flat
+// directories with an error naming the cause.
 //
 // The package is deliberately manifest-agnostic: it journals directories
 // and verifies (file, checksum) pairs, while the snapshot format itself —
@@ -218,25 +221,31 @@ func (s *Store) GenDir(g Gen) string { return filepath.Join(s.root, g.Dir) }
 
 func genDirName(id uint64) string { return fmt.Sprintf("%s%06d", genDirPrefix, id) }
 
-// ResolveDir maps a snapshot directory argument to the directory a loader
-// should read: for a store root it is the newest committed generation's
-// directory (gen > 0, isStore true); for anything else — a flat sharded
-// snapshot directory, or a generation directory itself — it is dir
-// unchanged. An existing store with no committed generations is an error:
-// the caller pointed at a catalog that has nothing to serve.
-func ResolveDir(dir string) (resolved string, gen uint64, isStore bool, err error) {
-	if !IsStore(dir) {
-		return dir, 0, false, nil
+// ResolveDir maps a catalog root to the directory of its newest committed
+// generation and that generation's ID. Anything that is not a catalog
+// root — a missing path, a bare gen-NNNNNN directory, a pre-catalog flat
+// snapshot directory — is an error that names the cause, as is a catalog
+// with no committed generations: the caller pointed at something that has
+// nothing to serve.
+func ResolveDir(root string) (dir string, gen uint64, err error) {
+	if _, err := os.Stat(root); err != nil {
+		return "", 0, fmt.Errorf("snapstore: %w", err)
 	}
-	cat, err := readCatalog(dir)
+	if !IsStore(root) {
+		if strings.HasPrefix(filepath.Base(filepath.Clean(root)), genDirPrefix) {
+			return "", 0, fmt.Errorf("snapstore: %s is a generation directory, not a catalog root; pass the directory holding %s", root, CatalogName)
+		}
+		return "", 0, fmt.Errorf("snapstore: %s is not a snapshot catalog root (no %s file; flat snapshot directories are not supported)", root, CatalogName)
+	}
+	cat, err := readCatalog(root)
 	if err != nil {
-		return "", 0, true, err
+		return "", 0, err
 	}
 	if len(cat.Generations) == 0 {
-		return "", 0, true, fmt.Errorf("snapstore: %s: catalog has no committed generations", dir)
+		return "", 0, fmt.Errorf("snapstore: %s: catalog has no committed generations", root)
 	}
 	g := cat.Generations[len(cat.Generations)-1]
-	return filepath.Join(dir, g.Dir), g.ID, true, nil
+	return filepath.Join(root, g.Dir), g.ID, nil
 }
 
 // Sweep is the recovery pass: it deletes every uncommitted temp directory
