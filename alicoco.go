@@ -171,30 +171,13 @@ type ServingInfo struct {
 // ServingInfo describes the currently published serving snapshot.
 func (c *CoCo) ServingInfo() ServingInfo { return c.serving.Load().info }
 
-// Build constructs the net end-to-end from a synthetic corpus.
+// Build constructs the net end-to-end from a synthetic corpus and serves
+// it as a one-shard partition (the whole frozen net). It builds the net
+// only: the embedding and language models the paper trains (see
+// pipeline.Artifacts.TrainModels) are read by no query path, so Build
+// never trains them and Internal().W2V stays nil.
 func Build(opts Options) (*CoCo, error) {
-	popts := pipeline.DefaultOptions()
-	popts.World.Seed = opts.Seed
-	popts.World.ItemsPerLeaf = opts.ItemsPerCategory
-	popts.World.GeneratedFrames = opts.Scenarios
-	popts.Queries = opts.CorpusSentences
-	popts.Reviews = opts.CorpusSentences
-	popts.Guides = opts.CorpusSentences
-	arts, err := pipeline.Build(popts)
-	if err != nil {
-		return nil, err
-	}
-	// Serving always runs on the frozen snapshot: lock-free, zero-alloc
-	// reads, postings pre-sorted at freeze time. The whole frozen net is
-	// the sole shard of a one-shard partition.
-	c := newCoCo()
-	c.shardCount = 1
-	arts.Shards = []*core.FrozenNet{arts.Frozen}
-	c.arts.Store(arts)
-	if err := c.publishShards(arts, "build", shardLoc{}, nil); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return BuildSharded(opts, 1)
 }
 
 // Refreeze republishes the live net's current state to the serving engines,
@@ -206,7 +189,7 @@ func (c *CoCo) Refreeze() error {
 	if c.arts.Load().Net == nil {
 		return errors.New("alicoco: refreeze: snapshot-loaded net has no live store")
 	}
-	return c.refreeze()
+	return c.refreeze("refreeze")
 }
 
 // BuildSharded is Build with the frozen store partitioned into shards:
@@ -214,17 +197,30 @@ func (c *CoCo) Refreeze() error {
 // scatter-gather across the set, and each shard can be re-frozen and
 // reloaded independently. Every subsequent refreeze (inference, Refreeze)
 // maintains the same partition. shards <= 1 behaves exactly like Build,
-// which serves a one-shard partition.
+// which serves a one-shard partition. The live net is frozen once, straight
+// into the partition, and published once.
 func BuildSharded(opts Options, shards int) (*CoCo, error) {
-	c, err := Build(opts)
-	if err != nil || shards <= 1 {
-		return c, err
+	popts := pipeline.DefaultOptions()
+	popts.World.Seed = opts.Seed
+	popts.World.ItemsPerLeaf = opts.ItemsPerCategory
+	popts.World.GeneratedFrames = opts.Scenarios
+	popts.Queries = opts.CorpusSentences
+	popts.Reviews = opts.CorpusSentences
+	popts.Guides = opts.CorpusSentences
+	arts, err := pipeline.BuildNet(popts)
+	if err != nil {
+		return nil, err
 	}
-	c.shardCount = shards
-	arts := c.arts.Load()
-	arts.Shards = arts.Net.FreezeShards(shards)
-	arts.Frozen = nil // the partition is now the serving truth; see SaveShards
-	return c, c.publishShards(arts, "build", shardLoc{}, nil)
+	// Serving always runs on frozen shards: lock-free, zero-alloc reads,
+	// postings pre-sorted at freeze time. Frozen stays nil; the partition
+	// is the serving truth (see SaveShards).
+	c := newCoCo()
+	c.shardCount = max(shards, 1)
+	c.arts.Store(arts)
+	if err := c.refreeze("build"); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // NumShards reports the partition size of the published serving state;
@@ -262,7 +258,7 @@ func (c *CoCo) SaveShardsRetain(dir string, count, retain int) (*pipeline.ShardM
 
 // LoadShardedFrozen builds a CoCo from the newest committed generation of
 // the snapshot catalog at root (written by SaveShards), skipping world
-// generation, model training, and the Freeze pass: cold start is
+// generation, net construction and the Freeze pass: cold start is
 // proportional to disk bandwidth. root must be the catalog root; a bare
 // generation directory or a flat directory is an error naming the cause.
 // Shards load and verify in parallel. The loaded CoCo serves every query
@@ -630,17 +626,15 @@ func (c *CoCo) SetQueryCacheCapacity(n int) {
 	c.recCache.Resize(n)
 }
 
-// refreeze publishes the live net's current state to the serving engines
-// after an offline mutation, re-partitioning into the configured shard
-// count (each shard frozen in parallel). Callers hold c.offline.
-func (c *CoCo) refreeze() error {
+// refreeze publishes the live net's current state to the serving engines,
+// partitioned into the configured shard count (each shard frozen in
+// parallel; one shard is the whole net), as source: "build" for a fresh
+// build, "refreeze" after an offline mutation. Callers hold c.offline, or
+// own c before it escapes.
+func (c *CoCo) refreeze(source string) error {
 	arts := c.arts.Load()
-	if c.shardCount > 1 {
-		arts.Shards = arts.Net.FreezeShards(c.shardCount)
-	} else {
-		arts.Shards = []*core.FrozenNet{arts.Refreeze()}
-	}
-	return c.publishShards(arts, "refreeze", shardLoc{}, nil)
+	arts.Shards = arts.Net.FreezeShards(c.shardCount)
+	return c.publishShards(arts, source, shardLoc{}, nil)
 }
 
 // Stats summarizes the net (the Table 2 shape).
@@ -1085,7 +1079,7 @@ func (c *CoCo) InferImplicitRelations() ([]ImpliedRelation, error) {
 	if _, err := m.Materialize(arts.Net, rels); err != nil {
 		return nil, err
 	}
-	if err := c.refreeze(); err != nil {
+	if err := c.refreeze("refreeze"); err != nil {
 		return nil, err
 	}
 	out := make([]ImpliedRelation, 0, len(rels))

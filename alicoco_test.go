@@ -30,6 +30,15 @@ func TestBuildAndStats(t *testing.T) {
 	}
 }
 
+// TestBuildTrainsNoModels: the facade serves from the net alone, so Build
+// must not train the model substrate only the paper experiments read.
+func TestBuildTrainsNoModels(t *testing.T) {
+	a := buildSmall(t).Internal()
+	if a.W2V != nil || a.D2V != nil || a.Glossary != nil || a.LM != nil || a.POS != nil {
+		t.Fatal("facade Build trained models")
+	}
+}
+
 func TestFacadeSearch(t *testing.T) {
 	c := buildSmall(t)
 	res := c.Search("outdoor barbecue", 8)

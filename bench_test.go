@@ -44,6 +44,7 @@ func benchArtifacts(b *testing.B) *pipeline.Artifacts {
 		if err != nil {
 			panic(err)
 		}
+		a.TrainModels()
 		benchA = a
 	})
 	return benchA
@@ -63,7 +64,8 @@ func benchEmbed(a *pipeline.Artifacts) func([]string) mat.Vec {
 	}
 }
 
-// BenchmarkTable2BuildNet measures the full four-layer construction (E1).
+// BenchmarkTable2BuildNet measures the full four-layer construction plus
+// the model substrate the paper trains alongside it (E1).
 func BenchmarkTable2BuildNet(b *testing.B) {
 	opts := pipeline.TinyOptions()
 	for i := 0; i < b.N; i++ {
@@ -71,6 +73,7 @@ func BenchmarkTable2BuildNet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		a.TrainModels()
 		s := a.Net.ComputeStats()
 		if s.PerKind["econcept"] == 0 {
 			b.Fatal("empty net")
@@ -466,14 +469,13 @@ func BenchmarkFrozenVsLockedNodesOfKind(b *testing.B) {
 // --- cold-start benchmarks ---------------------------------------------
 //
 // The pair contrasts the two ways a server can reach serving state:
-// rebuild everything from scratch (world, corpus, embeddings, net, freeze)
-// versus loading the newest generation of a snapshot catalog from disk.
-// scripts/bench.sh records both in BENCH_core.json; the frozen side is
-// expected to win by orders of magnitude since it is bounded by I/O
-// bandwidth, not model training.
+// rebuild the net from scratch (world, corpus, net, freeze) versus loading
+// the newest generation of a snapshot catalog from disk. scripts/bench.sh
+// records both in BENCH_core.json. Neither trains models: serving never
+// reads them (see pipeline.Artifacts.TrainModels).
 
 // BenchmarkColdStartLive measures a from-scratch cold start at test scale:
-// the full pipeline build ending in a published frozen snapshot.
+// the pipeline build ending in a frozen snapshot.
 func BenchmarkColdStartLive(b *testing.B) {
 	opts := pipeline.TinyOptions()
 	for i := 0; i < b.N; i++ {

@@ -80,6 +80,7 @@ func buildTestbed(scale string) *testbed {
 		fmt.Fprintln(os.Stderr, "build failed:", err)
 		os.Exit(1)
 	}
+	arts.TrainModels()
 	tb := &testbed{scale: scale, arts: arts, dim: opts.W2V.Dim}
 	tb.embed = func(tokens []string) mat.Vec {
 		vs := arts.W2V.EmbedSeq(tokens)

@@ -1,13 +1,16 @@
 // Package pipeline orchestrates the end-to-end semi-automatic construction
-// of the concept net (Sections 3-6): generate/ingest corpora, train the
-// embedding substrate, build the taxonomy layer, import and mine primitive
-// concepts, generate and link e-commerce concepts, and associate items —
-// producing a complete core.Net plus the trained artifacts around it.
+// of the concept net (Sections 3-6): generate/ingest corpora, build the
+// taxonomy layer, import and mine primitive concepts, generate and link
+// e-commerce concepts, and associate items — producing a complete core.Net
+// and its frozen snapshot (Build). The embedding and language-model
+// substrate the paper's models train on is a separate stage
+// (Artifacts.TrainModels) that only the experiments run.
 package pipeline
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 
 	"alicoco/internal/core"
@@ -23,7 +26,7 @@ type Options struct {
 	Queries int
 	Reviews int
 	Guides  int
-	W2V     emb.W2VConfig
+	W2V     emb.W2VConfig // word2vec training; read only by TrainModels
 
 	// MinePatternIsA additionally runs Hearst-pattern mining over the
 	// guides corpus and adds the discovered isA edges.
@@ -64,20 +67,24 @@ func TinyOptions() Options {
 
 // Artifacts bundles everything the build produces.
 type Artifacts struct {
-	Opts     Options
-	World    *world.World
-	Corpus   *world.Corpus
+	Opts   Options
+	World  *world.World
+	Corpus *world.Corpus
+
+	// The trained model substrate; nil until TrainModels runs. Build does
+	// not train them, because serving never reads them.
 	W2V      *emb.Word2Vec
 	D2V      *emb.Doc2Vec
 	Glossary *emb.Glossary
 	LM       *text.NGramLM
 	POS      *text.POSTagger
-	Net      *core.Net
+
+	Net *core.Net
 
 	// Frozen is the read-optimized immutable snapshot of Net taken when
-	// the build finished — the store serving code should query (the
+	// Build finished — the store serving code should query (the
 	// build-offline / serve-online split). After mutating Net, call
-	// Refreeze to publish a fresh snapshot.
+	// Refreeze to publish a fresh snapshot. BuildNet leaves it nil.
 	Frozen *core.FrozenNet
 
 	// Shards is the partitioned form of the snapshot that serving runs on
@@ -99,8 +106,24 @@ type Artifacts struct {
 	Serving *ServingMeta
 }
 
-// Build runs the full construction.
+// Build constructs the concept net: world and corpus, the taxonomy,
+// primitive-concept, e-commerce-concept and item layers, the frozen
+// snapshot, and the serving metadata. It trains no models — serving,
+// saving, reloading and inference never read them; the paper-experiment
+// code calls TrainModels after Build.
 func Build(opts Options) (*Artifacts, error) {
+	a, err := BuildNet(opts)
+	if err != nil {
+		return nil, err
+	}
+	a.Refreeze()
+	return a, nil
+}
+
+// BuildNet is Build without the freeze: the live net and its serving
+// metadata, with Frozen left nil, for callers that freeze the net into a
+// partition of their own (the facade's BuildSharded).
+func BuildNet(opts Options) (*Artifacts, error) {
 	a := &Artifacts{
 		Opts:      opts,
 		PrimNode:  make(map[int]core.NodeID),
@@ -110,15 +133,6 @@ func Build(opts Options) (*Artifacts, error) {
 	}
 	a.World = world.New(opts.World)
 	a.Corpus = a.World.GenCorpus(opts.Queries, opts.Reviews, opts.Guides)
-
-	// Embedding substrate (Sections 4-6 models all consume these).
-	a.W2V = emb.TrainWord2Vec(a.Corpus.All(), opts.W2V)
-	a.D2V = emb.NewDoc2Vec(a.W2V)
-	a.Glossary = emb.BuildGlossary(a.World.Glosses, a.D2V)
-	a.LM = text.NewNGramLM()
-	a.LM.Train(a.Corpus.All())
-	a.POS = text.NewPOSTagger()
-	a.learnPOSLexicon()
 
 	a.Net = core.NewNet()
 	if err := a.buildTaxonomy(); err != nil {
@@ -133,9 +147,25 @@ func Build(opts Options) (*Artifacts, error) {
 	if err := a.buildItems(); err != nil {
 		return nil, fmt.Errorf("pipeline: items: %w", err)
 	}
-	a.Frozen = a.Net.Freeze()
 	a.Serving = a.buildServingMeta()
 	return a, nil
+}
+
+// TrainModels trains the embedding and language-model substrate the
+// Sections 4-6 models consume — word2vec (with Opts.W2V), the Doc2Vec
+// gloss embedder, the gloss Glossary, the n-gram LM and the POS lexicon —
+// and stores them in W2V, D2V, Glossary, LM and POS. Only the
+// paper-experiment code reads them. Training draws from its own RNG
+// (Opts.W2V.Seed), never the world's, and does not touch the net, so
+// calling it after Build leaves the net and every snapshot unchanged.
+func (a *Artifacts) TrainModels() {
+	a.W2V = emb.TrainWord2Vec(a.Corpus.All(), a.Opts.W2V)
+	a.D2V = emb.NewDoc2Vec(a.W2V)
+	a.Glossary = emb.BuildGlossary(a.World.Glosses, a.D2V)
+	a.LM = text.NewNGramLM()
+	a.LM.Train(a.Corpus.All())
+	a.POS = text.NewPOSTagger()
+	a.learnPOSLexicon()
 }
 
 // Refreeze rebuilds the frozen snapshot from the live net's current state
@@ -196,8 +226,12 @@ func (a *Artifacts) buildTaxonomy() error {
 		}
 	}
 	// Schema: family classes carry property domains; categories are
-	// used_in events and suitable_when times.
-	for fam, doms := range world.FamilyAttributes() {
+	// used_in events and suitable_when times. The tables are maps; walking
+	// them in key order keeps edge insertion order, and with it the frozen
+	// shard bytes, identical across builds of the same seed.
+	famAttrs := world.FamilyAttributes()
+	for _, fam := range sortedKeys(famAttrs) {
+		doms := famAttrs[fam]
 		famCls := a.Net.FirstByNameKind(fam, core.KindClass)
 		if famCls == core.InvalidNode {
 			continue
@@ -209,9 +243,8 @@ func (a *Artifacts) buildTaxonomy() error {
 		}
 	}
 	addSchema := func(table map[string][]string, rel string, targetDomain world.Domain) error {
-		for key, leaves := range table {
-			_ = key
-			for _, leaf := range leaves {
+		for _, key := range sortedKeys(table) {
+			for _, leaf := range table[key] {
 				leafCls := a.Net.FirstByNameKind(leaf, core.KindClass)
 				if leafCls == core.InvalidNode {
 					continue
@@ -230,6 +263,16 @@ func (a *Artifacts) buildTaxonomy() error {
 		return err
 	}
 	return addSchema(world.FunctionRequirements(), "has_function", world.Function)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // buildPrimitives imports every primitive concept, its instanceOf link, the

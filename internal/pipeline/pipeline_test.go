@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -150,6 +151,34 @@ func TestBuildDeterministic(t *testing.T) {
 	a2 := buildTiny(t)
 	if a1.Net.NumNodes() != a2.Net.NumNodes() || a1.Net.NumEdges() != a2.Net.NumEdges() {
 		t.Fatal("build not deterministic")
+	}
+}
+
+// TestTrainModelsDoesNotFeedNet: the model stage is separate from the net
+// build — a net whose build ran TrainModels freezes to the same shard bytes
+// as one whose build did not, so the models cannot feed the net.
+func TestTrainModelsDoesNotFeedNet(t *testing.T) {
+	plain := buildTiny(t)
+	trained := buildTiny(t)
+	trained.TrainModels()
+	if trained.W2V == nil || trained.D2V == nil || trained.Glossary == nil || trained.LM == nil || trained.POS == nil {
+		t.Fatal("TrainModels left a model nil")
+	}
+	if plain.W2V != nil {
+		t.Fatal("Build trained word2vec")
+	}
+	want, got := plain.Net.FreezeShards(3), trained.Net.FreezeShards(3)
+	for i := range want {
+		var a, b bytes.Buffer
+		if err := want[i].Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := got[i].Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("shard %d differs after TrainModels (%d vs %d bytes)", i, a.Len(), b.Len())
+		}
 	}
 }
 

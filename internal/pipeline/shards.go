@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/gob"
@@ -41,6 +42,10 @@ const (
 	ShardManifestName = "manifest.json"
 	// shardMetaName holds the gob serving metadata shared by all shards.
 	shardMetaName = "meta.bin"
+
+	// shardReadBuffer sizes the read buffer LoadShard puts in front of a
+	// shard file.
+	shardReadBuffer = 256 << 10
 
 	shardManifestVersion = 1
 	shardPartitionRange  = "range"
@@ -371,7 +376,9 @@ func LoadShard(dir string, man *ShardManifest, i int) (*core.FrozenNet, error) {
 		return fail(err)
 	}
 	defer f.Close()
-	sh, err := core.LoadFrozen(f)
+	// LoadFrozen reads field by field; buffering turns that into a few
+	// large reads instead of a syscall per field.
+	sh, err := core.LoadFrozen(bufio.NewReaderSize(f, shardReadBuffer))
 	if err != nil {
 		return fail(err)
 	}

@@ -193,7 +193,9 @@ func TestChaosSlowReloadKeepsServing(t *testing.T) {
 	_, wantSearch := get(s, url)
 	wantAlt := altAnswer(t, url)
 	genDir := commitAlt(t, s)
-	defer faultfs.Inject(faultfs.Fault{PathContains: filepath.Join(genDir, "shard-"), Delay: 5 * time.Microsecond})()
+	// Shard loads read through a buffer, so a reload makes only a few
+	// reads; each must be slow enough that the reload visibly crawls.
+	defer faultfs.Inject(faultfs.Fault{PathContains: filepath.Join(genDir, "shard-"), Delay: 10 * time.Millisecond})()
 
 	reloadDone := make(chan struct{})
 	go func() {

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"alicoco/internal/pipeline"
 )
 
 // equivalenceQueries is a deterministic query mix: known concepts, partial
@@ -23,6 +25,30 @@ func equivalenceQueries(c *CoCo) []string {
 		queries = append(queries, cpt.Name)
 	}
 	return queries
+}
+
+// TestBuildShardedDeterministic: two builds of the same seed must commit
+// identical shard and meta checksums, so a rebuild that changed nothing
+// reloads nothing.
+func TestBuildShardedDeterministic(t *testing.T) {
+	var mans [2]*pipeline.ShardManifest
+	for i := range mans {
+		c, err := BuildSharded(Small(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mans[i], err = c.SaveShards(t.TempDir(), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := mans[0].MetaChecksum, mans[1].MetaChecksum; a != b {
+		t.Errorf("meta checksum %08x vs %08x", a, b)
+	}
+	for i := range mans[0].Shards {
+		if a, b := mans[0].Shards[i].Checksum, mans[1].Shards[i].Checksum; a != b {
+			t.Errorf("shard %d checksum %08x vs %08x", i, a, b)
+		}
+	}
 }
 
 // TestShardedServingEquivalence: a CoCo serving from an N-shard partition
@@ -43,6 +69,21 @@ func TestShardedServingEquivalence(t *testing.T) {
 			}
 			if got := sharded.NumShards(); got != n {
 				t.Fatalf("NumShards = %d, want %d", got, n)
+			}
+			// The build freezes straight into the partition and publishes
+			// once; the shards together hold exactly the unsharded net.
+			if info := sharded.ServingInfo(); info.Generation != 1 || info.Source != "build" {
+				t.Fatalf("BuildSharded published generation %d (source %q), want 1 (build)", info.Generation, info.Source)
+			}
+			nodes, edges := 0, 0
+			for i, si := range sharded.ShardInfos() {
+				if si.Index != i || si.Generation != 1 {
+					t.Fatalf("shard info %d: %+v", i, si)
+				}
+				nodes, edges = nodes+si.Nodes, edges+si.Edges
+			}
+			if want := base.ServingInfo(); nodes != want.Nodes || edges != want.Edges {
+				t.Fatalf("shards hold %d nodes, %d edges; unsharded net %d, %d", nodes, edges, want.Nodes, want.Edges)
 			}
 			for _, q := range queries {
 				a, b := base.Search(q, 8), sharded.Search(q, 8)
